@@ -14,7 +14,7 @@ from .oracle import (DirectionSample, FiniteDifference, GridSearchResult,
 from .projection import (Coefficients, ConstraintMode, ConstraintVariant,
                          ExtremumSolution, ObjectiveKind, PathParams, StepConstants,
                          StepSolution, constants, direction_parts, effective_problem,
-                         extremum_kappas, hessian_sign_check, objective_rate,
+                         extremum_kappas, hessian_sign_check,
                          select_coefficients, solve_step, validate_mode)
 from .risk import (ConfidenceLevel, LossTable, PortfolioState, RiskReport,
                    ScenarioMatrix, TailSet, build_losses, cvar, dar, initial_state,

@@ -7,8 +7,8 @@ import sys
 import numpy as np
 
 from .continuation import convergence_study, run
-from .data import (GeneratorSpec, generate, parse_run_config, read_scenario_file,
-                   write_path, write_scenarios)
+from .data import (GeneratorSpec, generate, parse_run_config, parse_vector,
+                   read_scenario_file, write_path, write_scenarios)
 from .errors import ConfigError, DataError, PortfolioError
 from .risk import build_losses, initial_state, report
 
@@ -63,12 +63,10 @@ def _build_parser():
 
 
 def _parse_returns(text, n):
-    parts = [p for p in text.split(",") if p.strip()]
-    if len(parts) == 1:
-        return float(parts[0])
-    if len(parts) != n:
-        raise ConfigError(f"returns has {len(parts)} entries, expected {n}")
-    return np.array([float(p) for p in parts])
+    returns = parse_vector(text, "--returns")
+    if np.ndim(returns) and len(returns) != n:
+        raise ConfigError(f"returns has {len(returns)} entries, expected {n}")
+    return returns
 
 
 def _run_analyze(args):

@@ -8,12 +8,14 @@ resulting metrics.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateProblemError, DomainError, InfeasibleStepError
-from .projection import (ConstraintMode, ConstraintVariant, ObjectiveKind, PathParams,
+from .errors import (ConfigError, DegenerateProblemError, DomainError, InfeasibleStepError,
+                     PortfolioError)
+from .projection import (ConstraintMode, ObjectiveKind, PathParams,
                          constants, effective_problem, extremum_kappas,
                          select_coefficients, solve_step, validate_mode)
 from .risk import build_losses, report
@@ -53,6 +55,9 @@ class ContinuationConfig:
     steady_state_window: int = 50
 
     def __post_init__(self):
+        for name in ("beta", "delta_c", "total_cost", "steady_state_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.delta_c <= 0.0:
             raise ConfigError("delta_c must be positive")
         if not 0.0 <= self.beta < 1.0:
@@ -173,12 +178,12 @@ def run(scenarios, state0, config):
     records = [_make_record(0, 0.0, (0.0, 0.0), 0.0, 0.0, state, rep, (), 1.0, base)]
     reason = "budget"
     streak = 0
+    _, maximize = effective_problem(config.objective, config.mode)
     for m in range(1, config.n_steps + 1):
         active = state.active
         if not np.any(active):
             reason = "all-clamped"
             break
-        _, maximize = effective_problem(config.objective, config.mode)
         try:
             coeffs = select_coefficients(config.objective, state, rep, config.mode)
             consts = constants(coeffs)
@@ -197,19 +202,17 @@ def run(scenarios, state0, config):
         y[active] = sol.y
         cvar_before = rep.cvar
         state, clamped = apply_step(state, y, config.delta_c, config.clamp_nonnegative)
-        if not np.any(state.active):
-            rep = report(table, state, config.beta)
-            records.append(_make_record(m, m * config.delta_c, (k1, k2), sol.q, sol.Q,
-                                        state, rep, clamped, 1.0, base))
-            reason = "all-clamped"
-            break
+        all_clamped = not np.any(state.active)
         rep = report(table, state, config.beta)
         factor = 1.0
-        if config.fixed_total_risk:
+        if config.fixed_total_risk and not all_clamped:
             state, factor = rescale_fixed_risk(state, cvar_before, rep.cvar)
             rep = report(table, state, config.beta)
         records.append(_make_record(m, m * config.delta_c, (k1, k2), sol.q, sol.Q,
                                     state, rep, clamped, factor, base))
+        if all_clamped:
+            reason = "all-clamped"
+            break
         rel_change = abs(rep.cvar - cvar_before) / max(abs(cvar_before), 1e-300)
         if rel_change < config.steady_state_tol:
             streak += 1
@@ -248,7 +251,7 @@ def convergence_study(scenarios, state0, base_config, delta_c_list, total_cost):
         try:
             res = run(scenarios, state0, cfg)
             results.append((dc, res.terminal_record.cvar_rel, res.reason, False))
-        except Exception as exc:  # partial table with the failure marked
+        except PortfolioError as exc:  # partial table with the failure marked
             results.append((dc, np.nan, f"error: {exc}", True))
     reference = results[-1][1]
     rows = []

@@ -3,12 +3,11 @@ and the plottable path table."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .continuation import (ContinuationConfig, ContinuationResult, ExtremumAutopilot,
-                           FixedKappas)
+from .continuation import ContinuationConfig, ExtremumAutopilot, FixedKappas
 from .errors import ConfigError, DataError
 from .projection import ConstraintMode, ConstraintVariant, ObjectiveKind
 from .risk import ScenarioMatrix
@@ -216,11 +215,19 @@ def _parse_bool(value, key):
         raise ConfigError(f"{key}: expected a boolean, got {value!r}") from None
 
 
-def _parse_vector(value):
-    parts = [p for p in value.split(",") if p.strip()]
-    if len(parts) == 1:
-        return float(parts[0])
-    return np.array([float(p) for p in parts])
+def _parse_number(value, key, kind=float):
+    try:
+        return kind(value)
+    except ValueError:
+        raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}") from None
+
+
+def parse_vector(value, key):
+    """A scalar, or a vector from comma-separated values."""
+    parts = [_parse_number(p, key) for p in value.split(",") if p.strip()]
+    if not parts:
+        raise ConfigError(f"{key}: expected a number or a comma-separated list")
+    return parts[0] if len(parts) == 1 else np.array(parts)
 
 
 def parse_run_config(path):
@@ -252,8 +259,8 @@ def parse_run_config(path):
 
     policy_name = pairs.get("policy", "fixed")
     if policy_name == "fixed":
-        policy = FixedKappas(kappa1=float(pairs.get("kappa1", 0.0)),
-                             kappa2=float(pairs.get("kappa2", 0.0)))
+        policy = FixedKappas(kappa1=_parse_number(pairs.get("kappa1", "0"), "kappa1"),
+                             kappa2=_parse_number(pairs.get("kappa2", "0"), "kappa2"))
     elif policy_name == "extremum":
         policy = ExtremumAutopilot(
             fixed_revenue=_parse_bool(pairs.get("fix_revenue", "false"), "fix_revenue"),
@@ -261,22 +268,22 @@ def parse_run_config(path):
     else:
         raise ConfigError(f"unknown kappa policy {policy_name!r}")
 
-    try:
-        continuation = ContinuationConfig(
-            objective=objective, mode=mode, kappa_policy=policy,
-            beta=float(pairs["beta"]), delta_c=float(pairs["delta_c"]),
-            total_cost=float(pairs["total_cost"]),
-            max_steps=int(pairs["max_steps"]) if "max_steps" in pairs else None,
-            clamp_nonnegative=_parse_bool(pairs.get("clamp", "true"), "clamp"),
-            fixed_total_risk=_parse_bool(pairs.get("fixed_total_risk", "false"),
-                                         "fixed_total_risk"),
-            steady_state_tol=float(pairs.get("steady_tol", 1e-12)),
-            steady_state_window=int(pairs.get("steady_window", 50)))
-    except ValueError as exc:
-        raise ConfigError(f"bad numeric value: {exc}") from None
+    continuation = ContinuationConfig(
+        objective=objective, mode=mode, kappa_policy=policy,
+        beta=_parse_number(pairs["beta"], "beta"),
+        delta_c=_parse_number(pairs["delta_c"], "delta_c"),
+        total_cost=_parse_number(pairs["total_cost"], "total_cost"),
+        max_steps=_parse_number(pairs["max_steps"], "max_steps", int)
+        if "max_steps" in pairs else None,
+        clamp_nonnegative=_parse_bool(pairs.get("clamp", "true"), "clamp"),
+        fixed_total_risk=_parse_bool(pairs.get("fixed_total_risk", "false"),
+                                     "fixed_total_risk"),
+        steady_state_tol=_parse_number(pairs.get("steady_tol", "1e-12"), "steady_tol"),
+        steady_state_window=_parse_number(pairs.get("steady_window", "50"), "steady_window",
+                                          int))
     return RunConfig(scenarios=pairs["scenarios"], continuation=continuation,
-                     returns=_parse_vector(pairs["returns"]),
-                     costs=_parse_vector(pairs.get("costs", "1.0")),
+                     returns=parse_vector(pairs["returns"], "returns"),
+                     costs=parse_vector(pairs.get("costs", "1.0"), "costs"),
                      output=pairs.get("output"))
 
 

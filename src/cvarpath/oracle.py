@@ -11,8 +11,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleStepError
-from .projection import ConstraintVariant
+from .errors import DegenerateProblemError, DomainError, InfeasibleStepError
+from .projection import PathParams, step_rate
 from .risk import portfolio_losses, tail_split
 
 _RANK_TOL = 1e-12
@@ -65,10 +65,10 @@ def best_feasible_direction(coeffs, mode, params, samples=100_000, seed=0):
     f_over_c = coeffs.f / c
     rows = []
     rhs = []
-    if mode.variant in (ConstraintVariant.BOTH, ConstraintVariant.REVENUE_ONLY):
+    if mode.has_revenue:
         rows.append(1.0 / c)
         rhs.append(params.kappa1)
-    if mode.variant in (ConstraintVariant.BOTH, ConstraintVariant.SECOND_ONLY):
+    if mode.has_second:
         rows.append(coeffs.h / c)
         rhs.append(params.kappa2)
     n = c.shape[0]
@@ -104,33 +104,12 @@ def best_feasible_direction(coeffs, mode, params, samples=100_000, seed=0):
                            samples=samples, seed=seed)
 
 
-def _rate_value(consts, variant, k1, k2, maximize):
+def _rate_value(consts, mode, k1, k2, maximize):
     """Closed-form Q at given rates, or None where the step is infeasible."""
-    if variant is ConstraintVariant.BOTH:
-        det = consts.U * consts.W - consts.V * consts.V
-        a0 = consts.F - (consts.H ** 2 * consts.U + consts.G ** 2 * consts.W
-                         - 2.0 * consts.G * consts.H * consts.V) / det
-        a2 = (consts.U * k2 * k2 + consts.W * k1 * k1 - 2.0 * consts.V * k1 * k2) / det - 1.0
-        linear = ((consts.G * consts.W - consts.H * consts.V) * k1
-                  + (consts.H * consts.U - consts.G * consts.V) * k2) / det
-    elif variant is ConstraintVariant.REVENUE_ONLY:
-        a0 = consts.F - consts.G ** 2 / consts.U
-        a2 = k1 * k1 / consts.U - 1.0
-        linear = consts.G * k1 / consts.U
-    elif variant is ConstraintVariant.SECOND_ONLY:
-        a0 = consts.F - consts.H ** 2 / consts.W
-        a2 = k2 * k2 / consts.W - 1.0
-        linear = consts.H * k2 / consts.W
-    else:
-        a0 = consts.F
-        a2 = -1.0
-        linear = 0.0
-    if a2 >= -1e-12 or a0 <= 0.0:
+    try:
+        return step_rate(consts, mode, PathParams(k1, k2), maximize)[1]
+    except (InfeasibleStepError, DegenerateProblemError):
         return None
-    q = np.sqrt(-a0 / a2)
-    if not maximize:
-        q = -q
-    return a0 / q + linear
 
 
 @dataclass(frozen=True)
@@ -153,17 +132,12 @@ def kappa_grid_search(consts, mode, grid_step, bounds, maximize=True,
         count = int(np.floor((hi - lo) / grid_step + 1e-9)) + 1
         return lo + grid_step * np.arange(count)
 
-    variant = mode.variant
-    k1_axis = np.array([0.0])
-    k2_axis = np.array([0.0])
-    if variant in (ConstraintVariant.BOTH, ConstraintVariant.REVENUE_ONLY) and not fix_revenue:
-        k1_axis = axis(k1_lo, k1_hi)
-    if variant in (ConstraintVariant.BOTH, ConstraintVariant.SECOND_ONLY) and not fix_second:
-        k2_axis = axis(k2_lo, k2_hi)
+    k1_axis = axis(k1_lo, k1_hi) if mode.has_revenue and not fix_revenue else np.array([0.0])
+    k2_axis = axis(k2_lo, k2_hi) if mode.has_second and not fix_second else np.array([0.0])
     best = None
     for k1 in k1_axis:
         for k2 in k2_axis:
-            value = _rate_value(consts, variant, float(k1), float(k2), maximize)
+            value = _rate_value(consts, mode, float(k1), float(k2), maximize)
             if value is None:
                 continue
             if best is None or (value > best[2] if maximize else value < best[2]):

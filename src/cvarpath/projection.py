@@ -3,13 +3,16 @@
 One step picks the direction y = delta_w / delta_c that extremizes a linear
 objective sum(f * y) subject to up to two linear constraints (total revenue
 rate kappa1 and total return/risk rate kappa2) and the quadratic cost
-normalization sum(c^2 y^2) = 1.  The Lagrange multiplier q satisfies
-a2 q^2 + a0 = 0, so every branch is solved in closed form.
+normalization sum(c^2 y^2) = 1.  Every constraint variant is one problem:
+project f off the active constraint rows {1, h} in the c^-2 metric.  A single
+Gram solve of at most 2x2 gives the projection, the Lagrange multiplier q
+(a root of a2 q^2 + a0 = 0), the steepest-path rates and the Hessian check.
 """
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -199,123 +202,136 @@ class StepSolution:
     a0: float
     a2: float
     Q: float
-    branch_sign: int
+
+
+def _rows(mode):
+    """Active constraint rows: 0 is the revenue row (gradient 1), 1 the second (h)."""
+    return tuple(r for r, on in enumerate((mode.has_revenue, mode.has_second)) if on)
+
+
+def _restrict(pair, rows):
+    """A (revenue, second) pair with the entries outside ``rows`` set to 0.0."""
+    return tuple(x if r in rows else 0.0 for r, x in enumerate(pair))
+
+
+def _dot(x, y):
+    return x[0] * y[0] + x[1] * y[1]
+
+
+def _solve(adjugate, det, vector):
+    """M^-1 vector, with M^-1 = adjugate / det."""
+    return tuple(_dot(row, vector) / det for row in adjugate)
+
+
+class _Projection(NamedTuple):
+    """f projected off constraint rows in the c^-2 metric.
+
+    M^-1 = adjugate / det inverts the rows' Gram matrix, lam = M^-1 b weights
+    the rows, and a0 = F - b.lam is the squared norm of what is left of f.
+    """
+
+    adjugate: tuple
+    det: float
+    lam: tuple
+    a0: float
+
+
+def _project(consts, rows):
+    """The Gram solve behind every closed form.
+
+    M = [[U, V], [V, W]] and b = [G, H] pair the rows (1, h) with each other
+    and with f.  A row outside ``rows`` is swapped for the identity's, and its
+    entry of b for 0, so the solve keeps its 2x2 shape and that row's weight
+    is exactly 0.
+    """
+    revenue, second = 0 in rows, 1 in rows
+    u = consts.U if revenue else 1.0
+    w = consts.W if second else 1.0
+    v = consts.V if revenue and second else 0.0
+    det = u * w - v * v
+    if det <= _DEGENERACY_TOL * u * w:
+        names = " and ".join(("revenue", "second")[r] for r in rows)
+        raise DegenerateProblemError(
+            f"{names} constraint gradients are degenerate (Gram determinant {det:.3e})")
+    b = _restrict((consts.G, consts.H), rows)
+    adjugate = ((w, -v), (-v, u))
+    lam = _solve(adjugate, det, b)
+    return _Projection(adjugate=adjugate, det=det, lam=lam, a0=consts.F - _dot(b, lam))
 
 
 @dataclass(frozen=True)
 class _Branch:
-    """y decomposed as (P/q + R)/c^2, with the quadratic and the linear Q term."""
+    """The step's multiplier problem a2 q^2 + a0 = 0 over the active rows.
 
-    P: np.ndarray
-    R: np.ndarray
+    lam = M^-1 b and mu = M^-1 kappa weight the rows: y = (P/q + R)/c^2 with
+    P = f - lam.rows and R = mu.rows, a0 is the squared norm of P, the
+    constraint multipliers are lam - q mu, and Q = a0/q + linear_q.
+    """
+
+    lam: tuple
+    mu: tuple
     a0: float
     a2: float
     linear_q: float
+    P: np.ndarray = None  # set by direction_parts, which has the coefficient vectors
+    R: np.ndarray = None
+
+
+def _branch(consts, mode, params):
+    rows = _rows(mode)
+    proj = _project(consts, rows)
+    kappa = _restrict((params.kappa1, params.kappa2), rows)
+    mu = _solve(proj.adjugate, proj.det, kappa)
+    return _Branch(lam=proj.lam, mu=mu, a0=max(proj.a0, 0.0),
+                   a2=_dot(kappa, mu) - 1.0, linear_q=_dot(proj.lam, kappa))
 
 
 def _require_second(consts, coeffs, mode):
-    if coeffs is not None and coeffs.h is None:
+    if mode.has_second and (coeffs.h is None or not consts.has_h):
         raise ConfigError(f"constraint mode {mode.variant.value} needs an h row")
-    if consts is not None and not consts.has_h:
-        raise ConfigError(f"constraint mode {mode.variant.value} needs h-based constants")
 
 
 def direction_parts(consts, coeffs, mode, params):
     """Branch coefficients of the direction as a function of the multiplier q."""
-    f = coeffs.f
-    k1 = params.kappa1
-    k2 = params.kappa2
-    variant = mode.variant
-    if variant is ConstraintVariant.BOTH:
-        _require_second(consts, coeffs, mode)
-        h = coeffs.h
-        det = consts.U * consts.W - consts.V * consts.V
-        if det <= _DEGENERACY_TOL * abs(consts.U * consts.W):
-            raise DegenerateProblemError("revenue and second constraint gradients are collinear")
-        P = f - (consts.G * consts.W - consts.H * consts.V
-                 + (consts.H * consts.U - consts.G * consts.V) * h) / det
-        R = -((k2 * consts.V - k1 * consts.W) + (k1 * consts.V - k2 * consts.U) * h) / det
-        a0 = consts.F - (consts.H ** 2 * consts.U + consts.G ** 2 * consts.W
-                         - 2.0 * consts.G * consts.H * consts.V) / det
-        a2 = (consts.U * k2 * k2 + consts.W * k1 * k1
-              - 2.0 * consts.V * k1 * k2) / det - 1.0
-        linear_q = ((consts.G * consts.W - consts.H * consts.V) * k1
-                    + (consts.H * consts.U - consts.G * consts.V) * k2) / det
-    elif variant is ConstraintVariant.REVENUE_ONLY:
-        P = f - consts.G / consts.U
-        R = np.full_like(f, k1 / consts.U)
-        a0 = consts.F - consts.G ** 2 / consts.U
-        a2 = k1 * k1 / consts.U - 1.0
-        linear_q = consts.G * k1 / consts.U
-    elif variant is ConstraintVariant.SECOND_ONLY:
-        _require_second(consts, coeffs, mode)
-        h = coeffs.h
-        if consts.W <= 0.0:
-            raise DegenerateProblemError("second constraint gradient vanishes (W = 0)")
-        P = f - consts.H * h / consts.W
-        R = k2 * h / consts.W
-        a0 = consts.F - consts.H ** 2 / consts.W
-        a2 = k2 * k2 / consts.W - 1.0
-        linear_q = consts.H * k2 / consts.W
-    else:  # NONE_ACTIVE
-        P = f.copy()
-        R = np.zeros_like(f)
-        a0 = consts.F
-        a2 = -1.0
-        linear_q = 0.0
-    return _Branch(P=P, R=R, a0=max(a0, 0.0), a2=a2, linear_q=linear_q)
+    _require_second(consts, coeffs, mode)
+    branch = _branch(consts, mode, params)
+    P = coeffs.f - branch.lam[0]
+    R = np.full_like(coeffs.f, branch.mu[0])
+    if mode.has_second:
+        P -= branch.lam[1] * coeffs.h
+        R += branch.mu[1] * coeffs.h
+    # a0 is the squared norm of P.  Summed from P itself it keeps the unit cost
+    # exact where F - b.lam would cancel to a few digits (a0 << F).
+    return replace(branch, P=P, R=R, a0=float(np.sum(P * P / (coeffs.c * coeffs.c))))
 
 
-def _recover_multipliers(consts, mode, params, q):
-    k1, k2 = params.kappa1, params.kappa2
-    variant = mode.variant
-    if variant is ConstraintVariant.BOTH:
-        det = consts.U * consts.W - consts.V * consts.V
-        s = ((k2 * consts.V - k1 * consts.W) * q + consts.G * consts.W - consts.H * consts.V) / det
-        t = ((k1 * consts.V - k2 * consts.U) * q + consts.H * consts.U - consts.G * consts.V) / det
-        return s, t
-    if variant is ConstraintVariant.REVENUE_ONLY:
-        return (consts.G - k1 * q) / consts.U, 0.0
-    if variant is ConstraintVariant.SECOND_ONLY:
-        return 0.0, (consts.H - k2 * q) / consts.W
-    return 0.0, 0.0
-
-
-def solve_step(consts, coeffs, mode, params, maximize):
-    """Solve one projection step; pick the quadratic root per the direction."""
-    branch = direction_parts(consts, coeffs, mode, params)
+def _rate(branch, consts, mode, maximize):
+    """The root q of a2 q^2 + a0 = 0 on the optimization side, and Q at it."""
     if branch.a2 >= -_DEGENERACY_TOL:
         raise InfeasibleStepError(
             f"path rates too large for the unit-cost ellipsoid (a2 = {branch.a2:.3e})")
-    scale = max(consts.F, 0.0)
-    if branch.a0 <= _GRADIENT_TOL * scale or branch.a0 <= 0.0:
+    if branch.a0 <= _GRADIENT_TOL * max(consts.F, 0.0) or branch.a0 <= 0.0:
         if mode.variant is ConstraintVariant.NONE_ACTIVE:
             raise DegenerateProblemError("zero objective gradient: state is locally optimal")
         raise DegenerateProblemError(
             "objective gradient lies in the constraint span (a0 = 0)")
     q_mag = float(np.sqrt(-branch.a0 / branch.a2))
     q = q_mag if maximize else -q_mag
-    c2 = coeffs.c * coeffs.c
-    y = (branch.P / q + branch.R) / c2
-    big_q = branch.a0 / q + branch.linear_q
-    s, t = _recover_multipliers(consts, mode, params, q)
-    return StepSolution(y=y, q=q, s=s, t=t, a0=branch.a0, a2=branch.a2,
-                        Q=float(big_q), branch_sign=1 if q > 0 else -1)
+    return q, branch.a0 / q + branch.linear_q
 
 
-def objective_rate(solution, consts, mode, params):
-    """Closed-form increment ratio Q of the objective per unit cost."""
-    variant = mode.variant
-    if variant is ConstraintVariant.BOTH:
-        det = consts.U * consts.W - consts.V * consts.V
-        linear = ((consts.G * consts.W - consts.H * consts.V) * params.kappa1
-                  + (consts.H * consts.U - consts.G * consts.V) * params.kappa2) / det
-        return solution.a0 / solution.q + linear
-    if variant is ConstraintVariant.REVENUE_ONLY:
-        return solution.a0 / solution.q + consts.G * params.kappa1 / consts.U
-    if variant is ConstraintVariant.SECOND_ONLY:
-        return solution.a0 / solution.q + consts.H * params.kappa2 / consts.W
-    return consts.F / solution.q
+def step_rate(consts, mode, params, maximize):
+    """Multiplier q and objective rate Q of one step, from the constants alone."""
+    return _rate(_branch(consts, mode, params), consts, mode, maximize)
+
+
+def solve_step(consts, coeffs, mode, params, maximize):
+    """Solve one projection step; pick the quadratic root per the direction."""
+    branch = direction_parts(consts, coeffs, mode, params)
+    q, big_q = _rate(branch, consts, mode, maximize)
+    y = (branch.P / q + branch.R) / (coeffs.c * coeffs.c)
+    s, t = (lam - q * mu for lam, mu in zip(branch.lam, branch.mu))
+    return StepSolution(y=y, q=q, s=s, t=t, a0=branch.a0, a2=branch.a2, Q=big_q)
 
 
 @dataclass(frozen=True)
@@ -328,79 +344,36 @@ class ExtremumSolution:
     subcase: str
 
 
-def _signed_root(value, maximize, what, scale):
-    if value <= _GRADIENT_TOL * max(scale, 0.0):
-        raise DegenerateProblemError(f"extremum branch positivity violated: {what} <= 0")
-    root = float(np.sqrt(value))
-    return root if maximize else -root
+# (active rows, fixed rows) -> the paper's subcase label
+_SUBCASES = {((0, 1), ()): "B.1.1", ((0, 1), (0,)): "B.1.2", ((0, 1), (1,)): "B.1.3",
+             ((0, 1), (0, 1)): "B.1.4", ((0,), ()): "B.2", ((0,), (0,)): "B.2-fixed",
+             ((1,), ()): "B.3", ((1,), (1,)): "B.3-fixed", ((), ()): "B.4"}
 
 
 def extremum_kappas(consts, mode, fixed_revenue, fixed_second, maximize):
     """Rates (kappa1, kappa2) at which the objective rate Q is extremal.
 
-    ``fixed_revenue`` / ``fixed_second`` pin the corresponding rate to zero;
-    the remaining free rates are set to their closed-form extremum.
+    ``fixed_revenue`` / ``fixed_second`` pin the corresponding rate to zero.
+    Projecting f off the fixed rows alone gives q_bar^2 (that projection's
+    a0) and, for each free row, kappa_bar = (b - M lam_fixed) / q_bar; q_bar
+    takes the optimization sign when some rate is free.  Raises
+    DegenerateProblemError wherever the step at these rates is degenerate.
     """
-    variant = mode.variant
-    if variant is ConstraintVariant.BOTH:
-        det = consts.U * consts.W - consts.V * consts.V
-        if det <= _DEGENERACY_TOL * abs(consts.U * consts.W):
-            raise DegenerateProblemError("constraint gradients are collinear")
-        if not fixed_revenue and not fixed_second:
-            if consts.F <= 0.0:
-                raise DegenerateProblemError("F must be positive for the free extremum")
-            q_bar = _signed_root(consts.F, maximize, "F", consts.F)
-            return ExtremumSolution(kappa1_bar=consts.G / q_bar,
-                                    kappa2_bar=consts.H / q_bar,
-                                    q_bar=q_bar, subcase="B.1.1")
-        if fixed_revenue and not fixed_second:
-            q_bar = _signed_root(consts.F - consts.G ** 2 / consts.U, maximize,
-                                 "F - G^2/U", consts.F)
-            k2 = (consts.H * consts.U - consts.G * consts.V) / (consts.U * q_bar)
-            return ExtremumSolution(kappa1_bar=0.0, kappa2_bar=k2, q_bar=q_bar,
-                                    subcase="B.1.2")
-        if fixed_second and not fixed_revenue:
-            if consts.W <= 0.0:
-                raise DegenerateProblemError("W must be positive (h vanishes)")
-            q_bar = _signed_root(consts.F - consts.H ** 2 / consts.W, maximize,
-                                 "F - H^2/W", consts.F)
-            k1 = (consts.G * consts.W - consts.H * consts.V) / (consts.W * q_bar)
-            return ExtremumSolution(kappa1_bar=k1, kappa2_bar=0.0, q_bar=q_bar,
-                                    subcase="B.1.3")
-        a0 = consts.F - (consts.H ** 2 * consts.U + consts.G ** 2 * consts.W
-                         - 2.0 * consts.G * consts.H * consts.V) / det
-        if a0 <= 0.0:
-            raise DegenerateProblemError("a0 must be positive with both rates fixed")
-        return ExtremumSolution(kappa1_bar=0.0, kappa2_bar=0.0,
-                                q_bar=float(np.sqrt(a0)), subcase="B.1.4")
-    if variant is ConstraintVariant.REVENUE_ONLY:
-        if fixed_revenue:
-            return ExtremumSolution(kappa1_bar=0.0, kappa2_bar=0.0,
-                                    q_bar=float(np.sqrt(max(consts.F - consts.G ** 2 / consts.U, 0.0))),
-                                    subcase="B.2-fixed")
-        a0 = consts.F - consts.G ** 2 / consts.U
-        if a0 <= _GRADIENT_TOL * max(consts.F, 0.0):
-            raise DegenerateProblemError("extremum branch positivity violated: F - G^2/U <= 0")
-        q_bar = _signed_root(consts.F, maximize, "F", consts.F)
-        return ExtremumSolution(kappa1_bar=consts.G / q_bar, kappa2_bar=0.0,
-                                q_bar=q_bar, subcase="B.2")
-    if variant is ConstraintVariant.SECOND_ONLY:
-        if consts.W <= 0.0:
-            raise DegenerateProblemError("W must be positive (h vanishes)")
-        if fixed_second:
-            return ExtremumSolution(kappa1_bar=0.0, kappa2_bar=0.0,
-                                    q_bar=float(np.sqrt(max(consts.F - consts.H ** 2 / consts.W, 0.0))),
-                                    subcase="B.3-fixed")
-        a0 = consts.F - consts.H ** 2 / consts.W
-        if a0 <= _GRADIENT_TOL * max(consts.F, 0.0):
-            raise DegenerateProblemError("extremum branch positivity violated: F - H^2/W <= 0")
-        q_bar = _signed_root(consts.F, maximize, "F", consts.F)
-        return ExtremumSolution(kappa1_bar=0.0, kappa2_bar=consts.H / q_bar,
-                                q_bar=q_bar, subcase="B.3")
-    if consts.F <= 0.0:
-        raise DegenerateProblemError("F must be positive without constraints")
-    return ExtremumSolution(kappa1_bar=0.0, kappa2_bar=0.0,
-                            q_bar=float(np.sqrt(consts.F)), subcase="B.4")
+    rows = _rows(mode)
+    fixed = tuple(r for r in rows if (fixed_revenue, fixed_second)[r])
+    free = tuple(r for r in rows if r not in fixed)
+    if _project(consts, rows).a0 <= _GRADIENT_TOL * max(consts.F, 0.0):
+        raise DegenerateProblemError(
+            "extremum branch positivity violated: objective gradient lies in the constraint span")
+    pinned = _project(consts, fixed)
+    q_bar = float(np.sqrt(pinned.a0))
+    if free and not maximize:
+        q_bar = -q_bar
+    gram = ((consts.U, consts.V), (consts.V, consts.W))
+    residual = (b - _dot(row, pinned.lam) for b, row in zip((consts.G, consts.H), gram))
+    kappa1, kappa2 = _restrict([x / q_bar for x in residual], free)
+    return ExtremumSolution(kappa1_bar=kappa1, kappa2_bar=kappa2, q_bar=q_bar,
+                            subcase=_SUBCASES[rows, fixed])
 
 
 @dataclass(frozen=True)
@@ -412,16 +385,16 @@ class HessianDiagnostic:
 
 
 def hessian_sign_check(consts, extremum):
-    """Second-order diagnostic at the free-rate extremum (subcase B.1.1)."""
-    det = consts.U * consts.W - consts.V * consts.V
-    a0 = consts.F - (consts.H ** 2 * consts.U + consts.G ** 2 * consts.W
-                     - 2.0 * consts.G * consts.H * consts.V) / det
-    determinant = consts.F ** 2 / (det * a0)
+    """Second-order diagnostic at the free-rate extremum (subcase B.1.1).
+
+    The Hessian of Q over (kappa1, kappa2) is -q_bar (M^-1 + lam lam^T / a0);
+    at q_bar^2 = F its determinant is F^2 / (det M a0).
+    """
+    proj = _project(consts, (0, 1))
     q_bar = extremum.q_bar
-    d2_k1 = -(consts.W / det + (consts.G * consts.W - consts.H * consts.V) ** 2
-              / (det * det * a0)) * q_bar
-    d2_k2 = -(consts.U / det + (consts.H * consts.U - consts.G * consts.V) ** 2
-              / (det * det * a0)) * q_bar
+    d2_k1, d2_k2 = (-q_bar * (proj.adjugate[i][i] / proj.det + proj.lam[i] ** 2 / proj.a0)
+                    for i in (0, 1))
+    determinant = consts.F ** 2 / (proj.det * proj.a0)
     is_extremum = determinant > 0.0 and d2_k1 * q_bar < 0.0 and d2_k2 * q_bar < 0.0
     return HessianDiagnostic(determinant=determinant, d2_kappa1=d2_k1,
                              d2_kappa2=d2_k2, is_extremum=is_extremum)

@@ -6,7 +6,7 @@ weight vector.  Losses are obtained by scaling the recorded loss columns with
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,6 +42,9 @@ class ScenarioMatrix:
         self.probabilities = _vector(self.probabilities, "probabilities")
         if self.values.ndim != 2:
             raise DataError(f"values must be a K x N matrix, got shape {self.values.shape}")
+        for name in ("initial_values", "values", "probabilities"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise DataError(f"{name} must all be finite")
         k, n = self.values.shape
         if n < 2:
             raise DataError(f"need at least 2 groups, got {n}")
@@ -119,6 +122,9 @@ class PortfolioState:
                           ("base_weights", self.base_weights)):
             if arr.shape != (n,):
                 raise DataError(f"{name} length does not match weights")
+        for name in ("weights", "returns", "cost_coefficients", "base_weights"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise DataError(f"{name} must all be finite")
         if self.frozen is None:
             self.frozen = np.zeros(n, dtype=bool)
         else:

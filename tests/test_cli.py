@@ -1,9 +1,21 @@
 """Command-line surface: exit codes, pipelines, diagnostics."""
-import numpy as np
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import cvarpath
 from cvarpath import read_scenarios
 from cvarpath.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
+
+
+def run_cli(*argv):
+    """The command in a fresh interpreter, so an uncaught error shows as a traceback."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cvarpath.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-m", "cvarpath.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 def gen_file(tmp_path, name="scen.csv", groups=6, scenarios=200):
@@ -93,6 +105,38 @@ class TestOptimize:
         other = tmp_path / "other.csv"
         assert main(["optimize", "--config", str(cfg), "--output", str(other)]) == EXIT_OK
         assert other.exists()
+
+
+class TestBadValues:
+    """Malformed numbers end in a config error naming the key, never a traceback."""
+
+    def optimize_with(self, tmp_path, key, value):
+        scen = gen_file(tmp_path)
+        settings = {"scenarios": scen, "objective": "min_risk", "mode": "revenue_only",
+                    "policy": "fixed", "beta": "0.9", "delta_c": "1e-3",
+                    "total_cost": "0.01", "returns": "0.05",
+                    "output": tmp_path / "path.csv", key: value}
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+        return run_cli("optimize", "--config", str(cfg))
+
+    @pytest.mark.parametrize("key,value", [
+        ("returns", "abc"), ("costs", "1,zz"), ("kappa1", "abc"), ("kappa2", "1e"),
+        ("max_steps", "1.5"), ("beta", "nan"), ("delta_c", "nan"), ("total_cost", "inf"),
+    ])
+    def test_optimize_config_error(self, tmp_path, key, value):
+        proc = self.optimize_with(tmp_path, key, value)
+        assert proc.returncode == EXIT_DOMAIN
+        assert "error_code=config" in proc.stderr
+        assert key in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_analyze_bad_returns(self, tmp_path):
+        scen = gen_file(tmp_path)
+        proc = run_cli("analyze", "--scenarios", str(scen), "--beta", "0.9", "--returns", "abc")
+        assert proc.returncode == EXIT_DOMAIN
+        assert "error_code=config" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestConvergence:

@@ -4,11 +4,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+from cvarpath import continuation
 from cvarpath import (
     ConfigError,
     ConstraintMode,
     ConstraintVariant,
     ContinuationConfig,
+    DomainError,
     ExtremumAutopilot,
     FixedKappas,
     ObjectiveKind,
@@ -215,6 +217,33 @@ class TestTermination:
         assert res.reason == "budget"
         assert res.terminal_record.step == 5
 
+    @pytest.mark.parametrize("fixed_total_risk", (False, True))
+    def test_all_clamped_termination(self, fixed_total_risk):
+        """A revenue rate of -1.3 makes both components of y negative, so one
+        long step drives both weights through zero."""
+        matrix = dominance_matrix()
+        state = initial_state(matrix, 0.05)
+        cfg = ContinuationConfig(objective=ObjectiveKind.MIN_RISK, mode=REV,
+                                 kappa_policy=FixedKappas(kappa1=-1.3), beta=0.9,
+                                 delta_c=10.0, total_cost=50.0,
+                                 fixed_total_risk=fixed_total_risk)
+        res = run(matrix, state, cfg)
+        assert res.reason == "all-clamped"
+        assert len(res.records) == 2
+        last = res.terminal_record
+        assert last.step == 1
+        assert last.frozen_count == 2
+        assert last.clamped_ids == (0, 1)
+        assert last.rescale_factor == 1.0
+        assert last.cvar == 0.0
+        np.testing.assert_array_equal(last.weights, 0.0)
+
+    @pytest.mark.parametrize("value", (float("nan"), float("inf")))
+    @pytest.mark.parametrize("name", ("beta", "delta_c", "total_cost", "steady_state_tol"))
+    def test_non_finite_numbers_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            ContinuationConfig(objective=ObjectiveKind.MIN_RISK, mode=REV, **{name: value})
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             ContinuationConfig(objective=ObjectiveKind.MIN_RISK, mode=REV, delta_c=0.0)
@@ -245,6 +274,31 @@ class TestConvergence:
                                   [1e-2, 1e-3, 1e-4], 0.01)
         assert np.isnan(table.rows[-1].error)
         assert all(np.isfinite(row.error) for row in table.rows[:-1])
+
+    def test_domain_errors_become_failed_rows(self, monkeypatch):
+        matrix, state = small_portfolio(seed=55)
+        real_run = continuation.run
+
+        def fail_coarse(scenarios, state0, config):
+            if config.delta_c > 1e-3:
+                raise DomainError("too coarse")
+            return real_run(scenarios, state0, config)
+
+        monkeypatch.setattr(continuation, "run", fail_coarse)
+        table = convergence_study(matrix, state, self.base_config(),
+                                  [1e-2, 1e-3, 1e-4], 0.01)
+        assert table.rows[0].failed and "too coarse" in table.rows[0].reason
+        assert not table.rows[1].failed
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        matrix, state = small_portfolio(seed=55)
+
+        def broken(scenarios, state0, config):
+            raise TypeError("a bug, not a failed run")
+
+        monkeypatch.setattr(continuation, "run", broken)
+        with pytest.raises(TypeError, match="a bug"):
+            convergence_study(matrix, state, self.base_config(), [1e-2, 1e-3, 1e-4], 0.01)
 
     def test_exact_linear_error_fits_slope_one(self):
         """Log-log regression recovers the exponent of an exact power law."""

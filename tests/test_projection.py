@@ -31,6 +31,65 @@ ALL_VARIANTS = (ConstraintVariant.BOTH, ConstraintVariant.REVENUE_ONLY,
                 ConstraintVariant.SECOND_ONLY, ConstraintVariant.NONE_ACTIVE)
 
 
+EXTREMUM_SUBCASES = (
+    (ConstraintVariant.BOTH, False, False, "B.1.1"),
+    (ConstraintVariant.BOTH, True, False, "B.1.2"),
+    (ConstraintVariant.BOTH, False, True, "B.1.3"),
+    (ConstraintVariant.BOTH, True, True, "B.1.4"),
+    (ConstraintVariant.REVENUE_ONLY, False, False, "B.2"),
+    (ConstraintVariant.REVENUE_ONLY, True, False, "B.2-fixed"),
+    (ConstraintVariant.SECOND_ONLY, False, False, "B.3"),
+    (ConstraintVariant.SECOND_ONLY, False, True, "B.3-fixed"),
+    (ConstraintVariant.NONE_ACTIVE, False, False, "B.4"),
+)
+
+
+def minus(a, b):
+    """a - b and its condition number (|a| + |b|) / |a - b|: the factor by which
+    any evaluation's rounding error in a and b is magnified in the result."""
+    return a - b, (abs(a) + abs(b)) / abs(a - b)
+
+
+def closed_form_extremum(consts, subcase, maximize):
+    """The paper's steepest-path rates, one formula per subcase.
+
+    Returns (value, condition number) for kappa1, kappa2 and q_bar.  q_bar
+    carries the optimization sign only where some rate is free.
+    """
+    F, G, H, U, V, W = consts.F, consts.G, consts.H, consts.U, consts.V, consts.W
+    sign = 1.0 if maximize else -1.0
+    zero = (0.0, 1.0)
+    if subcase == "B.1.1":
+        q = sign * np.sqrt(F)
+        return (G / q, 1.0), (H / q, 1.0), (q, 1.0)
+    if subcase == "B.2":
+        q = sign * np.sqrt(F)
+        return (G / q, 1.0), zero, (q, 1.0)
+    if subcase == "B.3":
+        q = sign * np.sqrt(F)
+        return zero, (H / q, 1.0), (q, 1.0)
+    if subcase == "B.1.2":
+        q_sq, cond_q = minus(F, G * G / U)
+        q = sign * np.sqrt(q_sq)
+        num, cond = minus(H * U, G * V)
+        return zero, (num / (U * q), cond + cond_q), (q, cond_q)
+    if subcase == "B.1.3":
+        q_sq, cond_q = minus(F, H * H / W)
+        q = sign * np.sqrt(q_sq)
+        num, cond = minus(G * W, H * V)
+        return (num / (W * q), cond + cond_q), zero, (q, cond_q)
+    if subcase == "B.1.4":
+        q_sq, cond_q = minus(F, (H * H * U + G * G * W - 2.0 * G * H * V) / (U * W - V * V))
+    elif subcase == "B.2-fixed":
+        q_sq, cond_q = minus(F, G * G / U)
+    elif subcase == "B.3-fixed":
+        q_sq, cond_q = minus(F, H * H / W)
+    else:
+        assert subcase == "B.4"
+        q_sq, cond_q = F, 1.0
+    return zero, zero, (np.sqrt(q_sq), cond_q)
+
+
 def check_feasibility(sol, coeffs, mode, params, tol=1e-10):
     if mode.has_revenue:
         assert float(sol.y.sum()) == pytest.approx(params.kappa1, abs=tol)
@@ -215,6 +274,41 @@ class TestExtrema:
                                      fix_revenue=fixed_revenue, fix_second=fixed_second)
             assert abs(grid.kappa1 - ext.kappa1_bar) <= step * 1.001
             assert abs(grid.kappa2 - ext.kappa2_bar) <= step * 1.001
+
+    @pytest.mark.parametrize("maximize", (True, False))
+    @pytest.mark.parametrize("variant,fixed_revenue,fixed_second,subcase", EXTREMUM_SUBCASES)
+    def test_extremum_matches_closed_form(self, variant, fixed_revenue, fixed_second,
+                                          subcase, maximize):
+        rng = np.random.default_rng(47)
+        mode = ConstraintMode(variant)
+        for _ in range(50):
+            _, consts, _, _ = random_step_instance(rng, variant)
+            ext = extremum_kappas(consts, mode, fixed_revenue, fixed_second, maximize)
+            assert ext.subcase == subcase
+            got = (ext.kappa1_bar, ext.kappa2_bar, ext.q_bar)
+            for value, (expected, cond) in zip(got, closed_form_extremum(consts, subcase,
+                                                                         maximize)):
+                # a pinned rate is exactly 0.0: abs=0 leaves no slack there
+                assert value == pytest.approx(expected, rel=1e-12 * cond, abs=0.0)
+
+    @pytest.mark.parametrize("maximize", (True, False))
+    def test_hessian_matches_closed_form(self, maximize):
+        rng = np.random.default_rng(53)
+        for _ in range(50):
+            _, consts, mode, _ = random_step_instance(rng, ConstraintVariant.BOTH)
+            ext = extremum_kappas(consts, mode, False, False, maximize)
+            diag = hessian_sign_check(consts, ext)
+            F, G, H, U, V, W = consts.F, consts.G, consts.H, consts.U, consts.V, consts.W
+            det = U * W - V * V
+            # every entry divides by a0
+            a0, cond = minus(F, (H * H * U + G * G * W - 2.0 * G * H * V) / det)
+            rel = 1e-12 * cond
+            assert diag.determinant == pytest.approx(F * F / (det * a0), rel=rel, abs=0.0)
+            d2_k1 = -(W / det + (G * W - H * V) ** 2 / (det * det * a0)) * ext.q_bar
+            d2_k2 = -(U / det + (H * U - G * V) ** 2 / (det * det * a0)) * ext.q_bar
+            assert diag.d2_kappa1 == pytest.approx(d2_k1, rel=rel, abs=0.0)
+            assert diag.d2_kappa2 == pytest.approx(d2_k2, rel=rel, abs=0.0)
+            assert diag.is_extremum
 
     def test_fixed_rate_subcases(self):
         rng = np.random.default_rng(43)

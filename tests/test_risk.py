@@ -225,6 +225,25 @@ class TestValidation:
                            values=[[0.5, 1.5], [1.5, 0.5]],
                            probabilities=[0.5, 0.5])
 
+    @pytest.mark.parametrize("value", (np.nan, np.inf, -np.inf))
+    @pytest.mark.parametrize("name", ("initial_values", "values", "probabilities"))
+    def test_rejects_non_finite(self, name, value):
+        arrays = {"initial_values": np.array([1.0, 1.0]),
+                  "values": np.array([[0.5, 1.5], [1.5, 0.5]]),
+                  "probabilities": np.array([0.5, 0.5])}
+        arrays[name].flat[0] = value
+        with pytest.raises(DataError, match=f"^{name} must all be finite"):
+            ScenarioMatrix(**arrays)
+
+    @pytest.mark.parametrize("returns,costs,name", [
+        ([0.05, np.nan, 0.02], None, "returns"),
+        (0.05, [1.0, np.nan, 1.0], "cost_coefficients"),
+    ])
+    def test_state_rejects_non_finite(self, returns, costs, name):
+        matrix = random_matrix(np.random.default_rng(2), n=3)
+        with pytest.raises(DataError, match=f"^{name} must all be finite"):
+            initial_state(matrix, returns, costs)
+
     def test_rejects_identical_columns(self):
         with pytest.raises(DataError):
             ScenarioMatrix(initial_values=[1.0, 1.0],
