@@ -80,25 +80,32 @@ def read_scenario_file(path):
                         line=init_no)
     initial = np.array([_parse_float(c, init_no, "initial value") for c in init_cells[1:]])
 
-    values = []
-    probs = []
+    rows = lines[2:]
+    k = len(rows)
+    values = np.empty((k, n))
+    probs = np.empty(k)
     expected = n + 1 if has_prob else n
-    for line_no, line in lines[2:]:
+    whats = ["probability"] * has_prob + ["scenario value"] * n
+    for i, (line_no, line) in enumerate(rows):
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != expected or any(c == "" for c in cells):
             raise DataError(f"scenario row has {len(cells)} cells, expected {expected}",
                             line=line_no)
+        try:
+            # One conversion per row: a float object per cell would fragment
+            # the heap on wide files.
+            row = np.array(cells, dtype=float)
+        except ValueError:
+            row = [_parse_float(c, line_no, what) for c, what in zip(cells, whats)]
         if has_prob:
-            p = _parse_float(cells[0], line_no, "probability")
+            p = row[0]
             if p <= 0.0:
-                raise DataError(f"nonpositive probability {p!r}", line=line_no)
-            probs.append(p)
-            cells = cells[1:]
-        values.append([_parse_float(c, line_no, "scenario value") for c in cells])
-    values = np.asarray(values)
-    k = values.shape[0]
+                raise DataError(f"nonpositive probability {float(p)!r}", line=line_no)
+            probs[i] = p
+            row = row[1:]
+        values[i] = row
     if has_prob:
-        probabilities = np.asarray(probs)
+        probabilities = probs
         total = float(probabilities.sum())
         normalized = False
         if abs(total - 1.0) > 1e-12:

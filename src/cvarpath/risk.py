@@ -6,7 +6,7 @@ weight vector.  Losses are obtained by scaling the recorded loss columns with
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,16 +79,29 @@ class ScenarioMatrix:
         return self.values.shape[0]
 
 
+def _read_only(arr):
+    """A view of ``arr`` that cannot be written through; the caller's array is untouched."""
+    view = arr.view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass
 class LossTable:
-    """Per-group losses relative to the base allocation, one row per scenario."""
+    """Per-group losses relative to the base allocation, one row per scenario.
+
+    Both arrays are read-only views, because ``report`` caches the CVaR of
+    each column in ``_column_cvars`` for the life of the table.
+    """
 
     group_losses: np.ndarray
     probabilities: np.ndarray
+    # (beta, sign) -> cvar(sign * column) per column, NaN until a report needs it
+    _column_cvars: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.group_losses = np.asarray(self.group_losses, dtype=float)
-        self.probabilities = _vector(self.probabilities, "probabilities")
+        self.group_losses = _read_only(np.asarray(self.group_losses, dtype=float))
+        self.probabilities = _read_only(_vector(self.probabilities, "probabilities"))
         if self.group_losses.ndim != 2:
             raise DataError("group_losses must be a K x N matrix")
         if self.probabilities.shape[0] != self.group_losses.shape[0]:
@@ -221,8 +234,12 @@ def scaled_group_losses(table, state):
 
 
 def portfolio_losses(table, state):
-    """Total scenario losses at the current weights (degree-one homogeneous in w)."""
-    return scaled_group_losses(table, state).sum(axis=1)
+    """Total scenario losses Z @ (w / w_base) (degree-one homogeneous in w).
+
+    ``report`` and ``risk_contributions`` both take the loss vector from here,
+    so they break exact ties between scenarios the same way.
+    """
+    return table.group_losses @ (state.weights / state.base_weights)
 
 
 def var(losses, probabilities, beta):
@@ -272,10 +289,8 @@ def cvar(losses, probabilities, beta):
 
 def risk_contributions(table, state, beta):
     """Euler allocation of CVaR over the tail scenario set used by ``cvar``."""
-    scaled = scaled_group_losses(table, state)
-    total = scaled.sum(axis=1)
-    ts = tail_split(total, table.probabilities, beta)
-    return (ts.weights @ scaled) / (1.0 - beta)
+    ts = tail_split(portfolio_losses(table, state), table.probabilities, beta)
+    return (ts.weights @ scaled_group_losses(table, state)) / (1.0 - beta)
 
 
 def dar(contributions, state):
@@ -288,9 +303,25 @@ def dar(contributions, state):
 
 
 def standalone_cvar(table, state, n, beta):
-    """CVaR of the n-th group's scaled loss column on its own."""
+    """CVaR of the n-th group's scaled loss column on its own (one sort per call)."""
     column = table.group_losses[:, n] * (state.weights[n] / state.base_weights[n])
     return cvar(column, table.probabilities, beta)
+
+
+def _standalone_cvars(table, scale, beta):
+    """Every group's standalone CVaR by positive homogeneity of CVaR.
+
+    s * cvar(z) for s > 0, |s| * cvar(-z) for s < 0 and exactly 0 for s = 0.
+    Each column's cvar(z) or cvar(-z) is computed the first time it is needed
+    and kept on the table for later calls with the same beta.
+    """
+    out = np.zeros(scale.shape)
+    for sign, side in ((1.0, scale > 0.0), (-1.0, scale < 0.0)):
+        known = table._column_cvars.setdefault((beta, sign), np.full(scale.shape, np.nan))
+        for n in np.flatnonzero(side & np.isnan(known)):
+            known[n] = cvar(sign * table.group_losses[:, n], table.probabilities, beta)
+        out[side] = np.abs(scale[side]) * known[side]
+    return out
 
 
 @dataclass(frozen=True)
@@ -313,16 +344,19 @@ class RiskReport:
 
 
 def report(table, state, beta):
-    """Evaluate every risk measure and index at the given state."""
-    scaled = scaled_group_losses(table, state)
-    total = scaled.sum(axis=1)
+    """Evaluate every risk measure and index at the given state.
+
+    The scaled K x N loss matrix is never formed: losses are Z @ s and the
+    Euler contributions (tail weights @ Z) * s, with s = w / w_base.
+    """
+    scale = state.weights / state.base_weights
+    total = portfolio_losses(table, state)
     ts = tail_split(total, table.probabilities, beta)
     inv_tail = 1.0 / (1.0 - beta)
     cvar_total = float(ts.weights @ total) * inv_tail
-    contributions = (ts.weights @ scaled) * inv_tail
+    contributions = (ts.weights @ table.group_losses) * scale * inv_tail
     dar_values = dar(contributions, state)
-    standalone = np.array([cvar(scaled[:, n], table.probabilities, beta)
-                           for n in range(state.n_groups)])
+    standalone = _standalone_cvars(table, scale, beta)
     standalone_sum = float(standalone.sum())
     diversification = cvar_total / standalone_sum if standalone_sum != 0.0 else np.nan
     total_return = state.total_return

@@ -12,6 +12,7 @@ from cvarpath import (
     ObjectiveKind,
     PATH_COLUMNS,
     ConstraintMode,
+    ScenarioMatrix,
     ConstraintVariant,
     generate,
     initial_state,
@@ -26,8 +27,14 @@ from conftest import random_matrix
 
 
 class TestScenarioRoundTrip:
-    def test_bit_exact_round_trip(self, tmp_path):
-        matrix = random_matrix(np.random.default_rng(2), n=5, k=40)
+    @pytest.mark.parametrize("spread", (0, 300))
+    def test_bit_exact_round_trip(self, tmp_path, spread):
+        """Values spread over 10**±spread re-read to the same bits."""
+        rng = np.random.default_rng(2)
+        matrix = random_matrix(rng, n=5, k=40)
+        values = matrix.values * 10.0 ** rng.integers(-spread, spread + 1, matrix.values.shape)
+        matrix = ScenarioMatrix(initial_values=matrix.initial_values, values=values,
+                                probabilities=matrix.probabilities)
         path = tmp_path / "scen.csv"
         write_scenarios(matrix, path)
         back = read_scenarios(path)
@@ -66,15 +73,41 @@ class TestScenarioRoundTrip:
             read_scenario_file(path)
         assert err.value.line == 3
 
-    def test_bad_cell_names_its_line(self, tmp_path):
+    @pytest.mark.parametrize("row,message", [
+        ("0.5,oops,9", "cannot parse scenario value 'oops'"),
+        ("0.5,9,abc", "cannot parse scenario value 'abc'"),
+        ("abc,9,11", "cannot parse probability 'abc'"),
+        ("0.5,,9", "scenario row has 3 cells"),
+    ])
+    def test_bad_cell_names_its_line(self, tmp_path, row, message):
         path = tmp_path / "scen.csv"
         path.write_text("group,prob,a,b\n"
                         "initial,10,10\n"
                         "0.5,9,11\n"
-                        "0.5,oops,9\n")
-        with pytest.raises(DataError) as err:
+                        f"{row}\n")
+        with pytest.raises(DataError, match=message) as err:
             read_scenario_file(path)
         assert err.value.line == 4
+
+    @pytest.mark.parametrize("token", ("1_000", "nan", "+inf", "-Infinity", "1e400", "0x10"))
+    def test_cells_parse_as_python_float(self, tmp_path, token):
+        path = tmp_path / "scen.csv"
+        path.write_text("group,a,b\n"
+                        "initial,10,10\n"
+                        "9,11\n"
+                        f"{token},9\n")
+        try:
+            expected = float(token)
+        except ValueError:
+            with pytest.raises(DataError, match="cannot parse scenario value") as err:
+                read_scenario_file(path)
+            assert err.value.line == 4
+            return
+        if not np.isfinite(expected):
+            with pytest.raises(DataError, match="values must all be finite"):
+                read_scenario_file(path)
+            return
+        assert read_scenario_file(path).matrix.values[1, 0] == expected
 
     def test_wrong_cell_count_names_its_line(self, tmp_path):
         path = tmp_path / "scen.csv"

@@ -5,9 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cvarpath import risk
 from cvarpath import (
+    ConstraintMode,
+    ConstraintVariant,
+    ContinuationConfig,
     DataError,
     DomainError,
+    FixedKappas,
+    LossTable,
+    ObjectiveKind,
+    PortfolioState,
     ScenarioMatrix,
     build_losses,
     cvar,
@@ -18,6 +26,7 @@ from cvarpath import (
     portfolio_losses,
     report,
     risk_contributions,
+    run,
     standalone_cvar,
     tail_split,
     var,
@@ -206,6 +215,102 @@ class TestHomogeneityAndIndices:
         for n in range(state.n_groups):
             assert rep.standalone_cvar[n] == pytest.approx(
                 standalone_cvar(table, state, n, 0.9), rel=1e-14)
+
+
+@st.composite
+def integer_tables(draw):
+    """A K x N table of small integer losses (ties and atoms) with unequal
+    probabilities, and weights that include zeros (frozen) and negatives."""
+    k = draw(st.integers(1, 30))
+    n = draw(st.integers(2, 6))
+    losses = draw(st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+                           min_size=k, max_size=k))
+    mass = np.array(draw(st.lists(st.integers(1, 10), min_size=k, max_size=k)), dtype=float)
+    base = np.array(draw(st.lists(st.floats(0.1, 2.0), min_size=n, max_size=n)))
+    weight = st.one_of(st.just(0.0), st.floats(-2.0, -0.01), st.floats(0.01, 2.0))
+    weights = np.array(draw(st.lists(weight, min_size=n, max_size=n)))
+    table = LossTable(group_losses=np.array(losses, dtype=float),
+                      probabilities=mass / mass.sum())
+    state = PortfolioState(weights=weights, returns=np.zeros(n), cost_coefficients=np.ones(n),
+                           base_value=1.0, base_weights=base, frozen=weights == 0.0)
+    return table, state
+
+
+class TestStandaloneByHomogeneity:
+    """``report`` against the per-column slow path it replaces."""
+
+    @given(integer_tables(), st.floats(0.0, 0.99), st.floats(0.0, 0.99))
+    @settings(max_examples=200, deadline=None)
+    def test_report_matches_slow_path(self, drawn, beta1, beta2):
+        table, state = drawn
+        scale = state.weights / state.base_weights
+        # rel 1e-14, with a floor of 1e-14 of the column's largest scaled loss
+        # for tails whose sum cancels
+        floor = 1e-14 * np.abs(scale) * np.abs(table.group_losses).max(axis=0)
+        for beta in (beta1, beta2, beta1):  # the cache is keyed by beta
+            rep = report(table, state, beta)
+            for n in range(state.n_groups):
+                want = standalone_cvar(table, state, n, beta)
+                assert rep.standalone_cvar[n] == pytest.approx(want, rel=1e-14, abs=floor[n])
+            total = portfolio_losses(table, state)
+            size = np.abs(table.group_losses @ np.abs(scale)).max() / (1.0 - beta)
+            assert rep.cvar == pytest.approx(cvar(total, table.probabilities, beta),
+                                             rel=1e-14, abs=1e-14 * size)
+            np.testing.assert_allclose(rep.contributions,
+                                       risk_contributions(table, state, beta),
+                                       rtol=1e-14, atol=1e-14 * size)
+
+    def test_negative_weights_match_slow_path(self):
+        """Without clamping, weights cross zero and the standalone CVaRs of
+        those groups come from cvar(-z)."""
+        matrix, state = small_portfolio(seed=0, n=6, k=200)
+        cfg = ContinuationConfig(objective=ObjectiveKind.MAX_RETURN,
+                                 mode=ConstraintMode(ConstraintVariant.REVENUE_ONLY),
+                                 kappa_policy=FixedKappas(), beta=0.9, delta_c=0.05,
+                                 total_cost=1.0, clamp_nonnegative=False)
+        res = run(matrix, state, cfg)
+        assert len(res.records) == 21
+        assert min(rec.weights.min() for rec in res.records) < 0.0
+        table = build_losses(matrix)
+        for rec in res.records:
+            at = dataclasses.replace(state, weights=rec.weights)
+            total = cvar(portfolio_losses(table, at), table.probabilities, cfg.beta)
+            standalone = sum(standalone_cvar(table, at, n, cfg.beta)
+                             for n in range(at.n_groups))
+            assert rec.cvar == pytest.approx(total, rel=1e-14)
+            assert rec.diversification_index == pytest.approx(total / standalone, rel=1e-13)
+
+    def test_column_cvars_computed_once_per_run(self, monkeypatch):
+        calls = []
+        original = risk.cvar
+        monkeypatch.setattr(risk, "cvar", lambda *args: calls.append(args) or original(*args))
+        matrix, state = small_portfolio(seed=0, n=6)
+        cfg = ContinuationConfig(objective=ObjectiveKind.MIN_RISK,
+                                 mode=ConstraintMode(ConstraintVariant.REVENUE_ONLY),
+                                 kappa_policy=FixedKappas(), beta=0.9, delta_c=1e-3,
+                                 total_cost=0.02)
+        res = run(matrix, state, cfg)
+        assert len(res.records) == 21
+        assert len(calls) <= state.n_groups
+
+    def test_frozen_column_is_exactly_zero(self):
+        matrix, state = small_portfolio(seed=15)
+        weights = state.weights.copy()
+        weights[2] = 0.0
+        state = dataclasses.replace(state, weights=weights,
+                                    frozen=np.arange(state.n_groups) == 2)
+        assert report(build_losses(matrix), state, 0.9).standalone_cvar[2] == 0.0
+
+    def test_table_arrays_are_read_only(self):
+        losses = np.array([[1.0, 2.0], [3.0, -1.0]])
+        probs = np.array([0.4, 0.6])
+        table = LossTable(group_losses=losses, probabilities=probs)
+        with pytest.raises(ValueError):
+            table.group_losses[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            table.probabilities[0] = 0.5
+        losses[0, 0] = 5.0  # the caller's own arrays stay writeable
+        probs[0] = 0.5
 
 
 class TestValidation:
