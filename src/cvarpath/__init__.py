@@ -10,7 +10,7 @@ from .errors import (ConfigError, DataError, DegenerateProblemError, DomainError
                      InfeasibleStepError, PortfolioError)
 from .oracle import (DirectionSample, FiniteDifference, GridSearchResult,
                      best_feasible_direction, cvar_tail_average,
-                     finite_difference_dar, kappa_grid_search)
+                     finite_difference_dar, kappa_grid_search, tail_split_by_sort)
 from .projection import (Coefficients, ConstraintMode, ConstraintVariant,
                          ExtremumSolution, ObjectiveKind, PathParams, StepConstants,
                          StepSolution, constants, direction_parts, effective_problem,

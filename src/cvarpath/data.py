@@ -79,6 +79,8 @@ def read_scenario_file(path):
         raise DataError(f"initial row has {len(init_cells) - 1} values, expected {n}",
                         line=init_no)
     initial = np.array([_parse_float(c, init_no, "initial value") for c in init_cells[1:]])
+    if not np.all(np.isfinite(initial)):
+        raise DataError("initial values must all be finite", line=init_no)
 
     rows = lines[2:]
     k = len(rows)
@@ -104,6 +106,12 @@ def read_scenario_file(path):
             probs[i] = p
             row = row[1:]
         values[i] = row
+    # checked once after the hot loop above; min and max propagate NaN
+    bad = ~(np.isfinite(values.min(axis=1)) & np.isfinite(values.max(axis=1)))
+    if has_prob:
+        bad |= ~np.isfinite(probs)
+    if bad.any():
+        raise DataError("scenario cells must all be finite", line=rows[int(np.argmax(bad))][0])
     if has_prob:
         probabilities = probs
         total = float(probabilities.sum())

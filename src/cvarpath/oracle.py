@@ -2,7 +2,8 @@
 
 Everything here is deliberately slow and structurally different from the
 engine: the tail average sorts and accumulates mass from the top instead of
-scanning a CDF, the direction search samples the feasible sphere, and the
+scanning a CDF, the tail split sorts every loss where the engine selects the
+upper tail first, the direction search samples the feasible sphere, and the
 rate search evaluates the objective rate on a grid.
 """
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 
 from .errors import DegenerateProblemError, DomainError, InfeasibleStepError
 from .projection import PathParams, step_rate
-from .risk import portfolio_losses, tail_split
+from .risk import _CDF_SLACK, TailSet, portfolio_losses, tail_split
 
 _RANK_TOL = 1e-12
 
@@ -41,6 +42,35 @@ def cvar_tail_average(losses, probabilities, beta):
     return acc / need
 
 
+def tail_split_by_sort(losses, probabilities, beta):
+    """``risk.tail_split`` by a CDF scan over every loss, all K of them sorted.
+
+    Ties are merged into atoms with ``np.unique``; VaR is the first atom whose
+    CDF reaches beta and the atom at VaR carries the split fraction.
+    """
+    losses = np.asarray(losses, dtype=float)
+    probabilities = np.asarray(probabilities, dtype=float)
+    if not 0.0 <= beta < 1.0:
+        raise DomainError(f"confidence level must be in [0, 1), got {beta!r}")
+    atoms, inverse = np.unique(losses, return_inverse=True)
+    cdf = np.cumsum(np.bincount(inverse, weights=probabilities))
+    idx = int(np.searchsorted(cdf, beta - _CDF_SLACK, side="left"))
+    v = float(atoms[min(idx, atoms.size - 1)])
+    below = losses < v
+    at = losses == v
+    above = losses > v
+    beta_star = float(probabilities[below].sum())
+    atom_mass = float(probabilities[at].sum())
+    beta_star_prime = beta_star + atom_mass
+    fraction = min(max((beta_star_prime - beta) / atom_mass, 0.0), 1.0)
+    weights = np.where(above, probabilities, 0.0)
+    weights[at] = probabilities[at] * fraction
+    signature = (tuple(np.flatnonzero(above)), tuple(np.flatnonzero(at)), fraction)
+    return TailSet(var=v, beta=beta, beta_star=beta_star,
+                   beta_star_prime=beta_star_prime, weights=weights,
+                   signature=signature)
+
+
 @dataclass(frozen=True)
 class DirectionSample:
     """Extremes of the objective over sampled feasible directions."""
@@ -53,16 +83,14 @@ class DirectionSample:
     seed: int
 
 
-def best_feasible_direction(coeffs, mode, params, samples=100_000, seed=0):
-    """Sample the feasible set {y : constraints hold, sum c^2 y^2 = 1} uniformly.
+def _feasible_sphere(coeffs, mode, params):
+    """The feasible set in u = c * y coordinates: centre, null-space basis, radius.
 
-    Works in u = c * y coordinates where the cost ellipsoid is the unit
-    sphere: the affine constraint set is split into its least-norm particular
-    solution and an orthonormal null-space basis, and directions are drawn
-    uniformly on the residual sphere.
+    The cost ellipsoid is the unit sphere there; the affine constraint set is
+    split into its least-norm particular solution and an orthonormal
+    null-space basis, and what remains of the sphere has the returned radius.
     """
     c = coeffs.c
-    f_over_c = coeffs.f / c
     rows = []
     rhs = []
     if mode.has_revenue:
@@ -86,19 +114,31 @@ def best_feasible_direction(coeffs, mode, params, samples=100_000, seed=0):
     radius_sq = 1.0 - float(u0 @ u0)
     if radius_sq <= 0.0 or basis.shape[0] == 0:
         raise InfeasibleStepError("feasible direction set is empty or a single point")
-    radius = np.sqrt(radius_sq)
+    return u0, basis, np.sqrt(radius_sq)
+
+
+def best_feasible_direction(coeffs, mode, params, samples=100_000, seed=0):
+    """Sample the feasible set {y : constraints hold, sum c^2 y^2 = 1} uniformly.
+
+    Directions are drawn uniformly on the residual sphere of
+    ``_feasible_sphere``; the objective of sample i is
+    base + radius * (g_i . proj) / |g_i|, so the unit directions themselves
+    are formed only for the two extremes.
+    """
+    c = coeffs.c
+    f_over_c = coeffs.f / c
+    u0, basis, radius = _feasible_sphere(coeffs, mode, params)
     rng = np.random.default_rng(seed)
     gauss = rng.standard_normal((samples, basis.shape[0]))
-    norms = np.linalg.norm(gauss, axis=1, keepdims=True)
+    norms = np.sqrt(np.einsum("ij,ij->i", gauss, gauss))
     norms[norms == 0.0] = 1.0
-    z = radius * gauss / norms
     base_q = float(f_over_c @ u0)
     proj = basis @ f_over_c
-    q_values = base_q + z @ proj
+    q_values = base_q + radius * (gauss @ proj) / norms
     i_max = int(np.argmax(q_values))
     i_min = int(np.argmin(q_values))
-    y_max = (u0 + basis.T @ z[i_max]) / c
-    y_min = (u0 + basis.T @ z[i_min]) / c
+    y_max = (u0 + basis.T @ (radius * gauss[i_max] / norms[i_max])) / c
+    y_min = (u0 + basis.T @ (radius * gauss[i_min] / norms[i_min])) / c
     return DirectionSample(max_Q=float(q_values[i_max]), max_y=y_max,
                            min_Q=float(q_values[i_min]), min_y=y_min,
                            samples=samples, seed=seed)

@@ -23,6 +23,12 @@ def _vector(x, name):
     return arr
 
 
+def _finite(arr, name):
+    if not np.all(np.isfinite(arr)):
+        raise DataError(f"{name} must all be finite")
+    return arr
+
+
 @dataclass
 class ScenarioMatrix:
     """K scenario rows of group values plus occurrence likelihoods.
@@ -43,8 +49,7 @@ class ScenarioMatrix:
         if self.values.ndim != 2:
             raise DataError(f"values must be a K x N matrix, got shape {self.values.shape}")
         for name in ("initial_values", "values", "probabilities"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise DataError(f"{name} must all be finite")
+            _finite(getattr(self, name), name)
         k, n = self.values.shape
         if n < 2:
             raise DataError(f"need at least 2 groups, got {n}")
@@ -136,8 +141,7 @@ class PortfolioState:
             if arr.shape != (n,):
                 raise DataError(f"{name} length does not match weights")
         for name in ("weights", "returns", "cost_coefficients", "base_weights"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise DataError(f"{name} must all be finite")
+            _finite(getattr(self, name), name)
         if self.frozen is None:
             self.frozen = np.zeros(n, dtype=bool)
         else:
@@ -242,40 +246,72 @@ def portfolio_losses(table, state):
     return table.group_losses @ (state.weights / state.base_weights)
 
 
-def var(losses, probabilities, beta):
-    """Smallest loss level whose CDF reaches ``beta``, with ties merged into atoms."""
-    losses = _vector(losses, "losses")
+def _select_tail(losses, probabilities, beta):
+    """The selection behind ``var`` and ``tail_split``.
+
+    Returns the validated losses and probabilities, the ascending indices of
+    the candidate rows (loss >= cut), VaR and beta_star = P(L < VaR).
+    """
+    losses = _finite(_vector(losses, "losses"), "losses")
     if losses.size == 0:
         raise DataError("empty loss vector")
-    probabilities = _vector(probabilities, "probabilities")
+    probabilities = _finite(_vector(probabilities, "probabilities"), "probabilities")
     if probabilities.shape != losses.shape:
         raise DataError("probabilities length does not match losses")
     if not 0.0 <= beta < 1.0:
         raise DomainError(f"confidence level must be in [0, 1), got {beta!r}")
-    atoms, inverse = np.unique(losses, return_inverse=True)
-    atom_probs = np.bincount(inverse, weights=probabilities)
-    cdf = np.cumsum(atom_probs)
+    k = losses.size
+    m = int((1.0 - beta) * k) + 2
+    cut, below = -np.inf, 0.0
+    if m < k:
+        cut = np.partition(losses, k - m)[k - m]
+        below = float(probabilities @ (losses < cut))
+        if below >= beta - _CDF_SLACK:  # the cut may lie above VaR
+            cut, below = -np.inf, 0.0
+    rows = np.flatnonzero(losses >= cut)
+    atoms, inverse = np.unique(losses[rows], return_inverse=True)
+    cdf = below + np.cumsum(np.bincount(inverse, weights=probabilities[rows]))
     idx = int(np.searchsorted(cdf, beta - _CDF_SLACK, side="left"))
     idx = min(idx, atoms.size - 1)
-    return float(atoms[idx])
+    beta_star = float(cdf[idx - 1]) if idx > 0 else below
+    return losses, probabilities, rows, float(atoms[idx]), beta_star
+
+
+def var(losses, probabilities, beta):
+    """Smallest loss level whose CDF reaches ``beta``, with ties merged into atoms.
+
+    The losses are selected, not sorted.  With m = floor((1 - beta) K) + 2,
+    the cut t is the (K - m)-th order statistic (one ``np.partition``), and
+    only the candidate rows with loss >= t are merged into atoms, their CDF
+    offset by P(L < t).  If P(L < t) >= beta - slack the cut may lie above the
+    VaR atom, so every row is a candidate, as it is when m >= K (always for
+    beta = 0).  With uniform probabilities P(L < t) <= beta - 1/K, so one
+    partition always suffices.  A non-finite loss or probability raises
+    ``DataError``.
+    """
+    return _select_tail(losses, probabilities, beta)[3]
 
 
 def tail_split(losses, probabilities, beta):
-    """VaR plus the pro-rata tail mass of every scenario (atom split included)."""
-    v = var(losses, probabilities, beta)
-    losses = np.asarray(losses, dtype=float)
-    probabilities = np.asarray(probabilities, dtype=float)
-    below = losses < v
-    at = losses == v
-    above = losses > v
-    beta_star = float(probabilities[below].sum())
+    """VaR plus the pro-rata tail mass of every scenario (atom split included).
+
+    Uses the cut of ``var``: every row with loss >= VaR is a candidate row at
+    or above it, so only those rows are split into strict tail and VaR atom
+    (every row, when the cut falls back to the full set); all others get
+    weight 0.
+    """
+    losses, probabilities, rows, v, beta_star = _select_tail(losses, probabilities, beta)
+    candidates = losses[rows]
+    above = rows[candidates > v]
+    at = rows[candidates == v]
     atom_mass = float(probabilities[at].sum())
     beta_star_prime = beta_star + atom_mass
     fraction = (beta_star_prime - beta) / atom_mass
     fraction = min(max(fraction, 0.0), 1.0)
-    weights = np.where(above, probabilities, 0.0)
+    weights = np.zeros(losses.size)
+    weights[above] = probabilities[above]
     weights[at] = probabilities[at] * fraction
-    signature = (tuple(np.flatnonzero(above)), tuple(np.flatnonzero(at)), fraction)
+    signature = (tuple(above), tuple(at), fraction)
     return TailSet(var=v, beta=beta, beta_star=beta_star,
                    beta_star_prime=beta_star_prime, weights=weights,
                    signature=signature)
@@ -347,14 +383,16 @@ def report(table, state, beta):
     """Evaluate every risk measure and index at the given state.
 
     The scaled K x N loss matrix is never formed: losses are Z @ s and the
-    Euler contributions (tail weights @ Z) * s, with s = w / w_base.
+    Euler contributions (tail weights @ Z) * s, with s = w / w_base, taken
+    over the rows of nonzero tail weight only.
     """
     scale = state.weights / state.base_weights
     total = portfolio_losses(table, state)
     ts = tail_split(total, table.probabilities, beta)
     inv_tail = 1.0 / (1.0 - beta)
     cvar_total = float(ts.weights @ total) * inv_tail
-    contributions = (ts.weights @ table.group_losses) * scale * inv_tail
+    rows = np.flatnonzero(ts.weights)
+    contributions = (ts.weights[rows] @ table.group_losses[rows]) * scale * inv_tail
     dar_values = dar(contributions, state)
     standalone = _standalone_cvars(table, scale, beta)
     standalone_sum = float(standalone.sum())

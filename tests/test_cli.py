@@ -2,9 +2,11 @@
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cvarpath
 from cvarpath import read_scenarios
@@ -137,6 +139,62 @@ class TestBadValues:
         assert proc.returncode == EXIT_DOMAIN
         assert "error_code=config" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+BAD_TOKENS = ("nan", "inf", "-Infinity", "1e400", "", "abc", "-0.5", "1.5")
+GOOD_CONFIG = {"objective": "min_risk", "mode": "revenue_only", "beta": "0.9",
+               "delta_c": "0.01", "total_cost": "0.05", "returns": "0.05"}
+
+
+@st.composite
+def scenario_texts(draw):
+    """A small valid scenario file with up to two faults: a bad token in a
+    cell, or a row one cell short or long."""
+    n = draw(st.integers(2, 3))
+    k = draw(st.integers(1, 5))
+    has_prob = draw(st.booleans())
+    number = st.sampled_from(("8", "9.5", "10", "11", "12.25"))
+    rows = [["initial"] + ["10"] * n]
+    for _ in range(k):
+        rows.append([repr(1.0 / k)] * has_prob + draw(st.lists(number, min_size=n,
+                                                               max_size=n)))
+    for _ in range(draw(st.integers(0, 2))):
+        row = rows[draw(st.integers(0, k))]
+        if draw(st.booleans()):
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(BAD_TOKENS))
+        elif draw(st.booleans()):
+            row.append("10")
+        else:
+            row.pop()
+    header = ["group"] + ["prob"] * has_prob + [f"g{i}" for i in range(n)]
+    return "\n".join(",".join(row) for row in [header] + rows) + "\n"
+
+
+@st.composite
+def run_configs(draw):
+    """The valid config above with up to two values replaced by bad tokens."""
+    config = dict(GOOD_CONFIG)
+    for key in draw(st.sets(st.sampled_from(sorted(config)), max_size=2)):
+        config[key] = draw(st.sampled_from(BAD_TOKENS))
+    return config
+
+
+class TestCliFuzz:
+    """Bad files and bad config values end in exit 0, 1 or 2, never an exception."""
+
+    @given(scenario_texts(), run_configs(), st.sampled_from(("0.9",) + BAD_TOKENS))
+    @settings(max_examples=60, deadline=None)
+    def test_exit_code_only(self, scenarios, config, beta):
+        with tempfile.TemporaryDirectory() as tmp:
+            scen = Path(tmp) / "scen.csv"
+            scen.write_text(scenarios)
+            cfg = Path(tmp) / "run.cfg"
+            cfg.write_text(f"scenarios = {scen}\noutput = {Path(tmp) / 'path.csv'}\n"
+                           + "".join(f"{key} = {value}\n" for key, value in config.items()))
+            exits = (EXIT_OK, EXIT_DOMAIN, EXIT_USAGE)
+            assert main(["optimize", "--config", str(cfg)]) in exits
+            assert main(["analyze", "--scenarios", str(scen), "--beta", beta,
+                         "--returns", config["returns"]]) in exits
 
 
 class TestConvergence:

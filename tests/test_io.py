@@ -78,6 +78,8 @@ class TestScenarioRoundTrip:
         ("0.5,9,abc", "cannot parse scenario value 'abc'"),
         ("abc,9,11", "cannot parse probability 'abc'"),
         ("0.5,,9", "scenario row has 3 cells"),
+        ("nan,9,11", "scenario cells must all be finite"),
+        ("0.5,9,-inf", "scenario cells must all be finite"),
     ])
     def test_bad_cell_names_its_line(self, tmp_path, row, message):
         path = tmp_path / "scen.csv"
@@ -104,10 +106,21 @@ class TestScenarioRoundTrip:
             assert err.value.line == 4
             return
         if not np.isfinite(expected):
-            with pytest.raises(DataError, match="values must all be finite"):
+            with pytest.raises(DataError, match="scenario cells must all be finite") as err:
                 read_scenario_file(path)
+            assert err.value.line == 4
             return
         assert read_scenario_file(path).matrix.values[1, 0] == expected
+
+    def test_non_finite_initial_value_names_its_line(self, tmp_path):
+        path = tmp_path / "scen.csv"
+        path.write_text("group,a,b\n"
+                        "initial,10,inf\n"
+                        "9,11\n"
+                        "11,9\n")
+        with pytest.raises(DataError, match="initial values must all be finite") as err:
+            read_scenario_file(path)
+        assert err.value.line == 2
 
     def test_wrong_cell_count_names_its_line(self, tmp_path):
         path = tmp_path / "scen.csv"

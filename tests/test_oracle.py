@@ -15,6 +15,7 @@ from cvarpath import (
     kappa_grid_search,
     solve_step,
 )
+from cvarpath.oracle import _feasible_sphere
 from conftest import random_step_instance, small_portfolio
 
 
@@ -62,6 +63,26 @@ class TestDirectionSampling:
         fine = best_feasible_direction(coeffs, mode, params, samples=50_000, seed=2)
         assert fine.max_Q <= sol.Q + 1e-12
         assert fine.max_Q == pytest.approx(sol.Q, abs=1e-3)
+
+    @pytest.mark.parametrize("variant", tuple(ConstraintVariant))
+    def test_extremes_match_the_full_direction_formula(self, variant):
+        """Same extreme rows as forming every unit direction z = radius * g / |g|."""
+        rng = np.random.default_rng(29)
+        for seed in range(3):
+            coeffs, _, mode, params = random_step_instance(rng, variant)
+            got = best_feasible_direction(coeffs, mode, params, samples=20_000, seed=seed)
+            u0, basis, radius = _feasible_sphere(coeffs, mode, params)
+            gauss = np.random.default_rng(seed).standard_normal((20_000, basis.shape[0]))
+            norms = np.linalg.norm(gauss, axis=1, keepdims=True)
+            norms[norms == 0.0] = 1.0
+            z = radius * gauss / norms
+            f_over_c = coeffs.f / coeffs.c
+            q_values = float(f_over_c @ u0) + z @ (basis @ f_over_c)
+            for q, y, i in ((got.max_Q, got.max_y, int(np.argmax(q_values))),
+                            (got.min_Q, got.min_y, int(np.argmin(q_values)))):
+                assert q == pytest.approx(q_values[i], rel=1e-14)
+                np.testing.assert_allclose(y, (u0 + basis.T @ z[i]) / coeffs.c,
+                                           rtol=1e-12, atol=1e-12)
 
     def test_infeasible_rates_raise(self):
         rng = np.random.default_rng(11)

@@ -4,6 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cvarpath import risk
 from cvarpath import (
@@ -29,6 +30,7 @@ from cvarpath import (
     run,
     standalone_cvar,
     tail_split,
+    tail_split_by_sort,
     var,
 )
 from conftest import random_distribution, random_matrix, small_portfolio
@@ -72,6 +74,62 @@ class TestVarCvarHandValues:
             var(FIVE, FIVE_P, 1.0)
         with pytest.raises(DomainError):
             cvar(FIVE, FIVE_P, -0.1)
+
+
+@st.composite
+def loss_distributions(draw):
+    """Losses with ties (integers in [-5, 5]) or continuous, with uniform
+    probabilities at a beta on an atom boundary ((1 - beta) K an integer), or
+    with probabilities geometric in the loss rank, massed in the top or in the
+    bottom scenarios; the latter makes the selection fall back to every row."""
+    k = draw(st.integers(1, 300))
+    if draw(st.booleans()):
+        losses = draw(arrays(np.float64, k, elements=st.integers(-5, 5)))
+    else:
+        losses = draw(arrays(np.float64, k, elements=st.floats(-1e3, 1e3)))
+    if draw(st.booleans()):
+        return losses, np.full(k, 1.0 / k), 1.0 - draw(st.integers(1, k)) / k
+    rank = np.argsort(np.argsort(losses, kind="stable"), kind="stable")
+    ratio = draw(st.floats(1.05, 2.0))
+    mass = ratio ** (rank if draw(st.booleans()) else -rank)
+    beta = draw(st.one_of(st.sampled_from((0.0, 0.5, 0.9, 0.95, 0.99)),
+                          st.floats(0.0, 0.999)))
+    return losses, mass / mass.sum(), beta
+
+
+class TestTailSelection:
+    """The selecting tail split against the sort-based split it replaced."""
+
+    @given(loss_distributions())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_sort_based_split(self, drawn):
+        losses, probs, beta = drawn
+        tol = losses.size * np.finfo(float).eps
+        got = tail_split(losses, probs, beta)
+        want = tail_split_by_sort(losses, probs, beta)
+        assert got.var == want.var == var(losses, probs, beta)
+        assert got.signature[:2] == want.signature[:2]
+        assert abs(got.beta_star - want.beta_star) <= tol
+        assert abs(got.beta_star_prime - want.beta_star_prime) <= tol
+        np.testing.assert_allclose(got.weights, want.weights, rtol=0.0, atol=tol)
+
+    def test_light_top_rows_fall_back_to_every_row(self):
+        """P(L < cut) reaches beta, so VaR lies below the cut's candidates."""
+        losses = np.arange(10.0)
+        probs = np.array([0.19] * 5 + [0.01] * 5)
+        got = tail_split(losses, probs, 0.9)
+        want = tail_split_by_sort(losses, probs, 0.9)
+        assert got.var == want.var == 4.0
+        assert got.signature[:2] == want.signature[:2]
+
+    @pytest.mark.parametrize("value", (np.nan, np.inf, -np.inf))
+    @pytest.mark.parametrize("name", ("losses", "probabilities"))
+    @pytest.mark.parametrize("fn", (var, tail_split, cvar))
+    def test_rejects_non_finite(self, fn, name, value):
+        inputs = {"losses": FIVE.copy(), "probabilities": FIVE_P.copy()}
+        inputs[name][2] = value
+        with pytest.raises(DataError, match=f"^{name} must all be finite"):
+            fn(inputs["losses"], inputs["probabilities"], 0.5)
 
 
 class TestCvarOracle:
