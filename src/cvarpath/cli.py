@@ -109,7 +109,6 @@ def _run_optimize(args):
 
 
 def _run_gen(args):
-    blocks = None
     if args.block_size is not None:
         if args.groups % args.block_size != 0:
             raise ConfigError("group count must be a multiple of the block size")

@@ -36,14 +36,11 @@ class ScenarioFile:
 
 def write_scenarios(matrix, path):
     """Serialize with 17 significant digits so a re-read is bit-identical."""
-    lines = ["group,prob," + ",".join(matrix.group_ids)]
-    lines.append("initial," + ",".join(_fmt(v) for v in matrix.initial_values))
-    for k in range(matrix.n_scenarios):
-        row = [_fmt(matrix.probabilities[k])]
-        row.extend(_fmt(v) for v in matrix.values[k])
-        lines.append(",".join(row))
     with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write("group,prob," + ",".join(matrix.group_ids) + "\n")
+        handle.write("initial," + ",".join(map(_fmt, matrix.initial_values)) + "\n")
+        for p, row in zip(matrix.probabilities, matrix.values):
+            handle.write(_fmt(p) + "," + ",".join(map(_fmt, row)) + "\n")
 
 
 def _parse_float(token, line_no, what):
@@ -53,78 +50,83 @@ def _parse_float(token, line_no, what):
         raise DataError(f"cannot parse {what} {token!r}", line=line_no) from None
 
 
-def read_scenario_file(path):
-    """Parse a scenario file; every rejection names the offending line."""
-    with open(path) as handle:
-        raw = handle.read().splitlines()
-    lines = [(i + 1, line.strip()) for i, line in enumerate(raw) if line.strip()]
-    if len(lines) < 3:
+def _lines(handle, need=0, comment=None):
+    """(physical line number, stripped text) of each non-blank line of an open
+    text file, read one line at a time and cut at ``comment``; lines end at \\n,
+    \\r or \\r\\n.  Fewer than ``need`` such lines fail at the line after the end."""
+    number = 0
+    for number, raw in enumerate(handle, start=1):
+        text = (raw.split(comment, 1)[0] if comment else raw).strip()
+        if text:
+            need -= 1
+            yield number, text
+    if need > 0:
         raise DataError("file needs a header, an initial row, and at least one scenario row",
-                        line=len(lines) + 1)
-    header_no, header = lines[0]
-    cells = [c.strip() for c in header.split(",")]
-    if cells[0] != "group":
-        raise DataError("header must start with 'group'", line=header_no)
-    has_prob = len(cells) > 1 and cells[1] == "prob"
-    group_ids = cells[2:] if has_prob else cells[1:]
-    n = len(group_ids)
-    if n < 2:
-        raise DataError("need at least 2 group columns", line=header_no)
+                        line=number + 1)
 
-    init_no, init_line = lines[1]
-    init_cells = [c.strip() for c in init_line.split(",")]
-    if init_cells[0] != "initial":
-        raise DataError("second row must start with 'initial'", line=init_no)
-    if len(init_cells) != n + 1:
-        raise DataError(f"initial row has {len(init_cells) - 1} values, expected {n}",
-                        line=init_no)
-    initial = np.array([_parse_float(c, init_no, "initial value") for c in init_cells[1:]])
-    if not np.all(np.isfinite(initial)):
-        raise DataError("initial values must all be finite", line=init_no)
 
-    rows = lines[2:]
+def read_scenario_file(path):
+    """Parse a scenario file in one pass; every rejection names its physical line."""
+    with open(path) as handle:
+        lines = _lines(handle, need=3)
+        header_no, header = next(lines)
+        cells = [c.strip() for c in header.split(",")]
+        if cells[0] != "group":
+            raise DataError("header must start with 'group'", line=header_no)
+        has_prob = len(cells) > 1 and cells[1] == "prob"
+        group_ids = cells[2:] if has_prob else cells[1:]
+        n = len(group_ids)
+        if n < 2:
+            raise DataError("need at least 2 group columns", line=header_no)
+
+        init_no, init_line = next(lines)
+        init_cells = [c.strip() for c in init_line.split(",")]
+        if init_cells[0] != "initial":
+            raise DataError("second row must start with 'initial'", line=init_no)
+        if len(init_cells) != n + 1:
+            raise DataError(f"initial row has {len(init_cells) - 1} values, expected {n}",
+                            line=init_no)
+        initial = np.array([_parse_float(c, init_no, "initial value") for c in init_cells[1:]])
+        if not np.all(np.isfinite(initial)):
+            raise DataError("initial values must all be finite", line=init_no)
+        if np.any(initial <= 0.0):
+            raise DataError("all initial group values must be strictly positive", line=init_no)
+
+        kinds = ["probability"] * has_prob + ["scenario value"] * n  # one per row cell
+        rows, probs = [], []  # rows: (physical line number, values)
+        for line_no, line in lines:
+            cells = [c.strip() for c in line.split(",")]
+            if len(cells) != len(kinds) or any(c == "" for c in cells):
+                raise DataError(f"scenario row has {len(cells)} cells, expected {len(kinds)}",
+                                line=line_no)
+            try:
+                # One conversion per row: a float object per cell would fragment
+                # the heap on wide files.
+                row = np.array(cells, dtype=float)
+            except ValueError:
+                row = [_parse_float(c, line_no, kind) for c, kind in zip(cells, kinds)]
+            if has_prob:
+                p = row[0]
+                if p <= 0.0:
+                    raise DataError(f"nonpositive probability {float(p)!r}", line=line_no)
+                probs.append(p)
+                row = row[1:]
+            rows.append((line_no, row))
+    values = np.array([row for _, row in rows], dtype=float)
     k = len(rows)
-    values = np.empty((k, n))
-    probs = np.empty(k)
-    expected = n + 1 if has_prob else n
-    whats = ["probability"] * has_prob + ["scenario value"] * n
-    for i, (line_no, line) in enumerate(rows):
-        cells = [c.strip() for c in line.split(",")]
-        if len(cells) != expected or any(c == "" for c in cells):
-            raise DataError(f"scenario row has {len(cells)} cells, expected {expected}",
-                            line=line_no)
-        try:
-            # One conversion per row: a float object per cell would fragment
-            # the heap on wide files.
-            row = np.array(cells, dtype=float)
-        except ValueError:
-            row = [_parse_float(c, line_no, what) for c, what in zip(cells, whats)]
-        if has_prob:
-            p = row[0]
-            if p <= 0.0:
-                raise DataError(f"nonpositive probability {float(p)!r}", line=line_no)
-            probs[i] = p
-            row = row[1:]
-        values[i] = row
+    probabilities = np.array(probs, dtype=float) if has_prob else np.full(k, 1.0 / k)
     # checked once after the hot loop above; min and max propagate NaN
-    bad = ~(np.isfinite(values.min(axis=1)) & np.isfinite(values.max(axis=1)))
-    if has_prob:
-        bad |= ~np.isfinite(probs)
+    bad = ~(np.isfinite(values.min(axis=1)) & np.isfinite(values.max(axis=1))
+            & np.isfinite(probabilities))
     if bad.any():
         raise DataError("scenario cells must all be finite", line=rows[int(np.argmax(bad))][0])
-    if has_prob:
-        probabilities = probs
-        total = float(probabilities.sum())
-        normalized = False
-        if abs(total - 1.0) > 1e-12:
-            if not _NORMALIZE_BAND[0] <= total <= _NORMALIZE_BAND[1]:
-                raise DataError(f"probabilities sum to {total!r}, outside the "
-                                f"normalization band {_NORMALIZE_BAND}", line=lines[2][0])
-            probabilities = probabilities / total
-            normalized = True
-    else:
-        probabilities = np.full(k, 1.0 / k)
-        normalized = False
+    total = float(probabilities.sum())
+    normalized = has_prob and abs(total - 1.0) > 1e-12
+    if normalized:
+        if not _NORMALIZE_BAND[0] <= total <= _NORMALIZE_BAND[1]:
+            raise DataError(f"probabilities sum to {total!r}, outside the "
+                            f"normalization band {_NORMALIZE_BAND}", line=rows[0][0])
+        probabilities = probabilities / total
     try:
         matrix = ScenarioMatrix(initial_values=initial, values=values,
                                 probabilities=probabilities, group_ids=tuple(group_ids))
@@ -214,6 +216,7 @@ class RunConfig:
 
 _OBJECTIVES = {o.value: o for o in ObjectiveKind}
 _VARIANTS = {v.value: v for v in ConstraintVariant}
+_POLICIES = {"fixed": FixedKappas, "extremum": ExtremumAutopilot}
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
 _KNOWN_KEYS = {"scenarios", "objective", "mode", "second", "policy", "kappa1", "kappa2",
@@ -245,61 +248,62 @@ def parse_vector(value, key):
     return parts[0] if len(parts) == 1 else np.array(parts)
 
 
+def _parse_choice(value, key, table, what):
+    if value not in table:
+        raise ConfigError(f"unknown {what} {value!r}")
+    return table[value]
+
+
 def parse_run_config(path):
     pairs = {}
     with open(path) as handle:
-        for i, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for i, line in _lines(handle, comment="#"):
             if "=" not in line:
-                raise ConfigError(f"line {i}: expected key=value, got {raw.strip()!r}")
+                raise ConfigError(f"expected key=value, got {line!r}", line=i)
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in _KNOWN_KEYS:
-                raise ConfigError(f"line {i}: unknown key {key!r}")
+                raise ConfigError(f"unknown key {key!r}", line=i)
             if key in pairs:
-                raise ConfigError(f"line {i}: duplicate key {key!r}")
-            pairs[key] = value
+                raise ConfigError(f"duplicate key {key!r}", line=i)
+            pairs[key] = value, i
     missing = [k for k in _REQUIRED_KEYS if k not in pairs]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
 
-    objective = _OBJECTIVES.get(pairs["objective"])
-    if objective is None:
-        raise ConfigError(f"unknown objective {pairs['objective']!r}")
-    variant = _VARIANTS.get(pairs.get("mode", "none"))
-    if variant is None:
-        raise ConfigError(f"unknown constraint mode {pairs['mode']!r}")
-    mode = ConstraintMode(variant=variant, second_meaning=pairs.get("second", "return"))
+    def parsed(key, parse, default=None, *args):
+        """``parse(value, key, *args)`` of a key's value; a failure names the key's line."""
+        value, line = pairs.get(key, (default, None))
+        try:
+            return parse(value, key, *args)
+        except ConfigError as exc:
+            raise ConfigError(str(exc), line=line) from None
 
-    policy_name = pairs.get("policy", "fixed")
-    if policy_name == "fixed":
-        policy = FixedKappas(kappa1=_parse_number(pairs.get("kappa1", "0"), "kappa1"),
-                             kappa2=_parse_number(pairs.get("kappa2", "0"), "kappa2"))
-    elif policy_name == "extremum":
-        policy = ExtremumAutopilot(
-            fixed_revenue=_parse_bool(pairs.get("fix_revenue", "false"), "fix_revenue"),
-            fixed_second=_parse_bool(pairs.get("fix_second", "false"), "fix_second"))
+    objective = parsed("objective", _parse_choice, None, _OBJECTIVES, "objective")
+    variant = parsed("mode", _parse_choice, "none", _VARIANTS, "constraint mode")
+    mode = parsed("second", lambda value, _: ConstraintMode(variant=variant,
+                                                            second_meaning=value), "return")
+    if parsed("policy", _parse_choice, "fixed", _POLICIES, "kappa policy") is FixedKappas:
+        policy = FixedKappas(kappa1=parsed("kappa1", _parse_number, "0"),
+                             kappa2=parsed("kappa2", _parse_number, "0"))
     else:
-        raise ConfigError(f"unknown kappa policy {policy_name!r}")
+        policy = ExtremumAutopilot(fixed_revenue=parsed("fix_revenue", _parse_bool, "false"),
+                                   fixed_second=parsed("fix_second", _parse_bool, "false"))
 
     continuation = ContinuationConfig(
         objective=objective, mode=mode, kappa_policy=policy,
-        beta=_parse_number(pairs["beta"], "beta"),
-        delta_c=_parse_number(pairs["delta_c"], "delta_c"),
-        total_cost=_parse_number(pairs["total_cost"], "total_cost"),
-        max_steps=_parse_number(pairs["max_steps"], "max_steps", int)
-        if "max_steps" in pairs else None,
-        clamp_nonnegative=_parse_bool(pairs.get("clamp", "true"), "clamp"),
-        fixed_total_risk=_parse_bool(pairs.get("fixed_total_risk", "false"),
-                                     "fixed_total_risk"),
-        steady_state_tol=_parse_number(pairs.get("steady_tol", "1e-12"), "steady_tol"),
-        steady_state_window=_parse_number(pairs.get("steady_window", "50"), "steady_window",
-                                          int))
-    return RunConfig(scenarios=pairs["scenarios"], continuation=continuation,
-                     returns=parse_vector(pairs["returns"], "returns"),
-                     costs=parse_vector(pairs.get("costs", "1.0"), "costs"),
-                     output=pairs.get("output"))
+        beta=parsed("beta", _parse_number),
+        delta_c=parsed("delta_c", _parse_number),
+        total_cost=parsed("total_cost", _parse_number),
+        max_steps=(parsed("max_steps", _parse_number, None, int)
+                   if "max_steps" in pairs else None),
+        clamp_nonnegative=parsed("clamp", _parse_bool, "true"),
+        fixed_total_risk=parsed("fixed_total_risk", _parse_bool, "false"),
+        steady_state_tol=parsed("steady_tol", _parse_number, "1e-12"),
+        steady_state_window=parsed("steady_window", _parse_number, "50", int))
+    return RunConfig(scenarios=pairs["scenarios"][0], continuation=continuation,
+                     returns=parsed("returns", parse_vector),
+                     costs=parsed("costs", parse_vector, "1.0"),
+                     output=pairs.get("output", (None,))[0])
 
 
 def write_path(result, path):

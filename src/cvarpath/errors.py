@@ -2,20 +2,18 @@
 
 
 class PortfolioError(Exception):
-    """Base class for all errors raised by this package."""
-
-
-class DataError(PortfolioError):
-    """Malformed or structurally inconsistent input data.
-
-    ``line`` carries the 1-based line number for file parse failures.
-    """
+    """Base class for all errors raised by this package; ``line`` is the
+    1-based physical line of the input file at fault, if any."""
 
     def __init__(self, message, line=None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+class DataError(PortfolioError):
+    """Malformed or structurally inconsistent input data."""
 
 
 class DomainError(PortfolioError):

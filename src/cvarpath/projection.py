@@ -160,13 +160,12 @@ class StepConstants:
                          + abs(self.F) + abs(self.G) + abs(self.H)) ** 2
         if self.F < -slack:
             raise DomainError("F must be non-negative")
-        if self.U * self.F - self.G * self.G < -slack:
-            raise DomainError("Cauchy-Schwarz violated: UF < G^2")
-        if self.has_h:
-            if self.U * self.W - self.V * self.V < -slack:
-                raise DomainError("Cauchy-Schwarz violated: UW < V^2")
-            if self.W * self.F - self.H * self.H < -slack:
-                raise DomainError("Cauchy-Schwarz violated: WF < H^2")
+        # The 2x2 principal minors of the Gram matrix [[U, V, G], [V, W, H], [G, H, F]]
+        # of the rows (1, h, f) in the c^-2 metric, over the rows present.
+        minors = (("U", "F", "G"),) + (("U", "W", "V"), ("W", "F", "H")) * self.has_h
+        for a, b, g in minors:
+            if getattr(self, a) * getattr(self, b) - getattr(self, g) ** 2 < -slack:
+                raise DomainError(f"Cauchy-Schwarz violated: {a}{b} < {g}^2")
 
 
 def constants(coeffs):

@@ -376,7 +376,6 @@ class RiskReport:
     revenue: float
     confidence: ConfidenceLevel
     tail_signature: tuple
-    frozen: np.ndarray
 
 
 def report(table, state, beta):
@@ -410,4 +409,4 @@ def report(table, state, beta):
                       total_return=total_return, total_return_to_risk=total_re2ri,
                       group_return_to_risk=group_re2ri, revenue=state.revenue,
                       confidence=ConfidenceLevel(beta=beta, beta_star=ts.beta_star),
-                      tail_signature=ts.signature, frozen=state.frozen.copy())
+                      tail_signature=ts.signature)

@@ -1,5 +1,8 @@
 """Command-line surface: exit codes, pipelines, diagnostics."""
+import contextlib
+import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -133,6 +136,16 @@ class TestBadValues:
         assert key in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_optimize_config_error_names_its_line(self, tmp_path):
+        scen = gen_file(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"scenarios = {scen}\nobjective = min_risk\nbeta = 0.9\n"
+                       "total_cost = 0.01\nreturns = 0.05\n"
+                       "# step size\n\ndelta_c = abc\n")
+        proc = run_cli("optimize", "--config", str(cfg), "--output", str(tmp_path / "p.csv"))
+        assert proc.returncode == EXIT_DOMAIN
+        assert "error_code=config line 8: delta_c: expected float" in proc.stderr
+
     def test_analyze_bad_returns(self, tmp_path):
         scen = gen_file(tmp_path)
         proc = run_cli("analyze", "--scenarios", str(scen), "--beta", "0.9", "--returns", "abc")
@@ -167,7 +180,14 @@ def scenario_texts(draw):
         else:
             row.pop()
     header = ["group"] + ["prob"] * has_prob + [f"g{i}" for i in range(n)]
-    return "\n".join(",".join(row) for row in [header] + rows) + "\n"
+    return with_inserted_lines(draw, [",".join(row) for row in [header] + rows], ("",))
+
+
+def with_inserted_lines(draw, lines, fillers):
+    """The lines joined into a file, with up to three filler lines inserted anywhere."""
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(fillers)))
+    return "\n".join(lines) + "\n"
 
 
 @st.composite
@@ -179,22 +199,39 @@ def run_configs(draw):
     return config
 
 
-class TestCliFuzz:
-    """Bad files and bad config values end in exit 0, 1 or 2, never an exception."""
+def assert_lines_within(stderr, text):
+    """Every ``line N:`` an error names lies in 1 .. the file's physical lines + 1."""
+    for number in re.findall(r"line (\d+):", stderr):
+        assert 1 <= int(number) <= text.count("\n") + 1
 
-    @given(scenario_texts(), run_configs(), st.sampled_from(("0.9",) + BAD_TOKENS))
+
+class TestCliFuzz:
+    """Bad files and bad config values end in exit 0, 1 or 2, never an exception,
+    and a line an error names exists in the file at fault."""
+
+    @given(scenario_texts(), run_configs(), st.sampled_from(("0.9",) + BAD_TOKENS),
+           st.data())
     @settings(max_examples=60, deadline=None)
-    def test_exit_code_only(self, scenarios, config, beta):
+    def test_exit_code_only(self, scenarios, config, beta, data):
         with tempfile.TemporaryDirectory() as tmp:
             scen = Path(tmp) / "scen.csv"
             scen.write_text(scenarios)
             cfg = Path(tmp) / "run.cfg"
-            cfg.write_text(f"scenarios = {scen}\noutput = {Path(tmp) / 'path.csv'}\n"
-                           + "".join(f"{key} = {value}\n" for key, value in config.items()))
+            cfg_text = with_inserted_lines(
+                data.draw, [f"scenarios = {scen}", f"output = {Path(tmp) / 'path.csv'}"]
+                + [f"{key} = {value}" for key, value in config.items()], ("", "# note"))
+            cfg.write_text(cfg_text)
             exits = (EXIT_OK, EXIT_DOMAIN, EXIT_USAGE)
-            assert main(["optimize", "--config", str(cfg)]) in exits
-            assert main(["analyze", "--scenarios", str(scen), "--beta", beta,
-                         "--returns", config["returns"]]) in exits
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                assert main(["optimize", "--config", str(cfg)]) in exits
+            text = cfg_text if "error_code=config" in stderr.getvalue() else scenarios
+            assert_lines_within(stderr.getvalue(), text)
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                assert main(["analyze", "--scenarios", str(scen), "--beta", beta,
+                             "--returns", config["returns"]]) in exits
+            assert_lines_within(stderr.getvalue(), scenarios)
 
 
 class TestConvergence:

@@ -1,4 +1,6 @@
 """Scenario files, run configs, the generator, and the path table."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,17 @@ class TestScenarioRoundTrip:
             read_scenario_file(path)
         assert err.value.line == 2
 
+    def test_nonpositive_initial_value_names_its_line(self, tmp_path):
+        path = tmp_path / "scen.csv"
+        path.write_text("group,a,b\n"
+                        "initial,10,-5\n"
+                        "9,11\n"
+                        "11,9\n")
+        message = "all initial group values must be strictly positive"
+        with pytest.raises(DataError, match=message) as err:
+            read_scenario_file(path)
+        assert err.value.line == 2
+
     def test_wrong_cell_count_names_its_line(self, tmp_path):
         path = tmp_path / "scen.csv"
         path.write_text("group,prob,a,b\n"
@@ -138,6 +151,48 @@ class TestScenarioRoundTrip:
         with pytest.raises(DataError) as err:
             read_scenario_file(path)
         assert err.value.line == 1
+
+    @pytest.mark.parametrize("text,line", [
+        ("", 1),
+        ("\n\ngroup,a,b\ninitial,10,10\n", 5),
+        ("group,a,b\n\n\ninitial,10,10", 5),
+        ("group,a,b\n", 2),
+    ])
+    def test_short_file_names_the_line_after_its_end(self, tmp_path, text, line):
+        """Blank lines count: the missing row is reported after the last physical line."""
+        path = tmp_path / "scen.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match="file needs a header") as err:
+            read_scenario_file(path)
+        assert err.value.line == line
+
+    def test_identical_columns_name_the_header(self, tmp_path):
+        path = tmp_path / "scen.csv"
+        path.write_text("\ngroup,a,b\ninitial,10,10\n9,9\n11,11\n")
+        with pytest.raises(DataError, match="all scenario columns are identical") as err:
+            read_scenario_file(path)
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("newline", ("\n", "\r\n", "\r"))
+    def test_lines_counted_across_line_endings(self, tmp_path, newline):
+        path = tmp_path / "scen.csv"
+        text = newline.join(["group,a,b", "initial,10,10", "", "9,11", "11,x", ""])
+        path.write_bytes(text.encode())
+        with pytest.raises(DataError, match="cannot parse scenario value 'x'") as err:
+            read_scenario_file(path)
+        assert err.value.line == 5
+
+    def test_peak_memory_is_a_small_multiple_of_the_table(self, tmp_path):
+        """One pass: the file's text is never held whole (N=100, K=2000, 3.9 MB)."""
+        path = tmp_path / "scen.csv"
+        write_scenarios(generate(GeneratorSpec(seed=4, n_groups=100, n_scenarios=2000)), path)
+        tracemalloc.start()
+        try:
+            values = read_scenarios(path).values
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * values.nbytes
 
 
 class TestGenerator:
@@ -215,8 +270,47 @@ class TestRunConfig:
         cfg_path.write_text("scenarios = x\nobjective = min_risk\nbeta = 0.9\n"
                             "delta_c = 1e-3\ntotal_cost = 0.01\nreturns = 0.02\n"
                             "bogus = 1\n")
-        with pytest.raises(ConfigError, match="unknown key"):
+        with pytest.raises(ConfigError, match="line 7: unknown key") as err:
             parse_run_config(cfg_path)
+        assert err.value.line == 7
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("delta_c", "abc", "delta_c: expected float"),
+        ("max_steps", "1.5", "max_steps: expected int"),
+        ("clamp", "maybe", "clamp: expected a boolean"),
+        ("returns", "0.02,x", "returns: expected float"),
+        ("costs", ",", "costs: expected a number"),
+        ("objective", "nope", "unknown objective"),
+        ("mode", "nope", "unknown constraint mode"),
+        ("second", "nope", "unknown second-constraint meaning"),
+        ("policy", "nope", "unknown kappa policy"),
+        ("kappa1", "x", "kappa1: expected float"),
+    ])
+    def test_value_error_names_its_physical_line(self, tmp_path, key, value, message):
+        """The bad key sits below a comment line and a blank line."""
+        settings = {"scenarios": "x", "objective": "min_risk", "beta": "0.9",
+                    "delta_c": "1e-3", "total_cost": "0.01", "returns": "0.02"}
+        head = ("".join(f"{k} = {v}\n" for k, v in settings.items() if k != key)
+                + "# the value under test\n\n")
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(head + f"{key} = {value}  # bad\n")
+        with pytest.raises(ConfigError, match=message) as err:
+            parse_run_config(cfg_path)
+        line = head.count("\n") + 1
+        assert err.value.line == line
+        assert str(err.value).startswith(f"line {line}: ")
+
+    @pytest.mark.parametrize("text,message", [
+        ("scenarios = x\nobjective = min_risk\n", "missing required"),
+        ("scenarios = x\nobjective = min_risk\nbeta = 0.9\ndelta_c = -1\n"
+         "total_cost = 0.01\nreturns = 0.02\n", "delta_c must be positive"),
+    ])
+    def test_whole_config_errors_name_no_line(self, tmp_path, text, message):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(text)
+        with pytest.raises(ConfigError, match=message) as err:
+            parse_run_config(cfg_path)
+        assert err.value.line is None
 
     def test_missing_required_key_rejected(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"

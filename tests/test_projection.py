@@ -1,4 +1,6 @@
 """Closed-form single steps: feasibility, optimality, multipliers, extrema."""
+import re
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,11 @@ from cvarpath import (
     ConstraintMode,
     ConstraintVariant,
     DegenerateProblemError,
+    DomainError,
     InfeasibleStepError,
     ObjectiveKind,
     PathParams,
+    StepConstants,
     best_feasible_direction,
     constants,
     direction_parts,
@@ -199,6 +203,20 @@ class TestErrors:
         consts = constants(coeffs)
         with pytest.raises(ConfigError):
             solve_step(consts, coeffs, SEC, PathParams(), maximize=True)
+
+    @pytest.mark.parametrize("sums,pair", [
+        (dict(U=1.0, F=1.0, G=2.0, has_h=False), "UF < G^2"),
+        (dict(U=1.0, F=1.0, W=1.0, V=2.0, has_h=True), "UW < V^2"),
+        (dict(U=1.0, F=1.0, W=1.0, H=2.0, has_h=True), "WF < H^2"),
+    ])
+    def test_cauchy_schwarz_violation_names_its_pair(self, sums, pair):
+        """Each 2x2 minor of the Gram matrix of (1, h, f) must be non-negative."""
+        full = dict(F=0.0, G=0.0, H=0.0, U=0.0, V=0.0, W=0.0) | sums
+        with pytest.raises(DomainError, match=re.escape(f"Cauchy-Schwarz violated: {pair}")):
+            StepConstants(**full)
+
+    def test_h_minors_unchecked_without_h(self):
+        StepConstants(F=1.0, G=0.0, H=2.0, U=1.0, V=2.0, W=0.0, has_h=False)
 
 
 class TestModeValidation:
