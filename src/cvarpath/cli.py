@@ -62,19 +62,21 @@ def _build_parser():
     return parser
 
 
-def _parse_returns(text, n):
-    returns = parse_vector(text, "--returns")
-    if np.ndim(returns) and len(returns) != n:
-        raise ConfigError(f"returns has {len(returns)} entries, expected {n}")
-    return returns
+def _initial_state(matrix, returns, costs=None):
+    """The starting state; a per-group vector of the wrong length is a config error."""
+    n = matrix.n_groups
+    for key, value in (("returns", returns), ("costs", costs)):
+        if np.ndim(value) and len(value) != n:
+            raise ConfigError(f"{key} has {len(value)} entries, expected {n}")
+    return initial_state(matrix, returns, costs)
 
 
 def _run_analyze(args):
     matrix = read_scenario_file(args.scenarios).matrix
-    state = initial_state(matrix, _parse_returns(args.returns, matrix.n_groups))
+    state = _initial_state(matrix, parse_vector(args.returns, "--returns"))
     rep = report(build_losses(matrix), state, args.beta)
-    print(f"beta={rep.confidence.beta:.6g}")
-    print(f"beta_star={rep.confidence.beta_star:.6g}")
+    print(f"beta={args.beta:.6g}")
+    print(f"beta_star={rep.beta_star:.6g}")
     print(f"var={rep.var:.10g}")
     print(f"cvar={rep.cvar:.10g}")
     print(f"diversification_index={rep.diversification_index:.10g}")
@@ -90,8 +92,7 @@ def _run_analyze(args):
 
 def _states_from_config(cfg):
     matrix = read_scenario_file(cfg.scenarios).matrix
-    state = initial_state(matrix, cfg.returns, cfg.costs)
-    return matrix, state
+    return matrix, _initial_state(matrix, cfg.returns, cfg.costs)
 
 
 def _run_optimize(args):
@@ -110,6 +111,8 @@ def _run_optimize(args):
 
 def _run_gen(args):
     if args.block_size is not None:
+        if args.block_size < 1:
+            raise ConfigError(f"block size must be at least 1, got {args.block_size}")
         if args.groups % args.block_size != 0:
             raise ConfigError("group count must be a multiple of the block size")
         blocks = tuple((args.block_size, args.rho)
@@ -126,7 +129,7 @@ def _run_gen(args):
 
 def _run_convergence(args):
     cfg = parse_run_config(args.config)
-    deltas = sorted((float(p) for p in args.deltas.split(",") if p.strip()), reverse=True)
+    deltas = sorted(np.atleast_1d(parse_vector(args.deltas, "--deltas")).tolist(), reverse=True)
     total = args.total if args.total is not None else cfg.continuation.total_cost
     matrix, state = _states_from_config(cfg)
     table = convergence_study(matrix, state, cfg.continuation, deltas, total)

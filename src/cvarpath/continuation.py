@@ -87,7 +87,6 @@ class PathRecord:
     total_return: float
     revenue: float
     diversification_index: float
-    return_to_risk: float
     cvar_rel: float
     return_rel: float
     revenue_rel: float
@@ -148,7 +147,6 @@ def _make_record(m, c, kappas, q, big_q, state, rep, clamped, factor, base):
         step=m, c=c, kappa1=kappas[0], kappa2=kappas[1], q=q, Q=big_q,
         weights=state.weights.copy(), cvar=rep.cvar, total_return=rep.total_return,
         revenue=rep.revenue, diversification_index=rep.diversification_index,
-        return_to_risk=rep.total_return_to_risk,
         cvar_rel=_relative(rep.cvar, base["cvar"]),
         return_rel=_relative(rep.total_return, base["return"]),
         revenue_rel=_relative(rep.revenue, base["revenue"]),

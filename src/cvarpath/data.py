@@ -3,6 +3,7 @@ and the plottable path table."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +14,8 @@ from .projection import ConstraintMode, ConstraintVariant, ObjectiveKind
 from .risk import ScenarioMatrix
 
 _NORMALIZE_BAND = (0.999, 1.001)
+# The largest tail whose lognormal standard deviation, sqrt(exp(2 tail^2)), is finite.
+_MAX_TAIL = math.sqrt(math.log(sys.float_info.max) / 2.0)
 
 PATH_COLUMNS = ("m", "c", "kappa1", "kappa2", "q", "Q", "cvar_rel", "return_rel",
                 "revenue_rel", "di_rel", "re2ri_rel", "clamped_count", "rescale_factor")
@@ -136,10 +139,6 @@ def read_scenario_file(path):
                         has_probabilities=has_prob, normalized=normalized)
 
 
-def read_scenarios(path):
-    return read_scenario_file(path).matrix
-
-
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Synthetic correlated fat-tailed scenario generator parameters.
@@ -158,12 +157,14 @@ class GeneratorSpec:
     base_value: float = 100.0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.n_groups < 2:
             raise ConfigError("need at least 2 groups")
         if self.n_scenarios < 1:
             raise ConfigError("need at least 1 scenario")
-        if self.tail <= 0.0:
-            raise ConfigError("tail parameter must be positive")
+        if not 0.0 < self.tail <= _MAX_TAIL:
+            raise ConfigError(f"tail parameter must be in (0, {_MAX_TAIL:.4g}], got {self.tail!r}")
         if self.loss_scale <= 0.0:
             raise ConfigError("loss_scale must be positive")
         blocks = self.blocks

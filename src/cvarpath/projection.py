@@ -72,14 +72,14 @@ def validate_mode(objective, mode):
         raise ConfigError("diversification minimisation supports only a return second constraint")
 
 
-def effective_problem(objective, mode=None):
+def effective_problem(objective, mode):
     """Resolve the coefficient row and optimization direction for a step.
 
     Return-to-risk maximisation with a pre-assigned second constraint
     degenerates to plain return maximisation (risk fixed) or risk
     minimisation (return fixed); the row switch is made explicit here.
     """
-    if objective is ObjectiveKind.MAX_RETURN_TO_RISK and mode is not None and mode.has_second:
+    if objective is ObjectiveKind.MAX_RETURN_TO_RISK and mode.has_second:
         if mode.second_meaning == "risk":
             return ObjectiveKind.MAX_RETURN, True
         return ObjectiveKind.MIN_RISK, False
@@ -107,7 +107,7 @@ class Coefficients:
             raise DomainError("cost coefficients must be strictly positive")
 
 
-def select_coefficients(objective, state, report, mode=None):
+def select_coefficients(objective, state, report, mode):
     """Coefficient vectors for the active (unfrozen) components.
 
     f follows the objective row; h is the table's companion row (None for
@@ -169,19 +169,16 @@ class StepConstants:
 
 
 def constants(coeffs):
-    """Accumulate the six sums in ascending component order."""
-    c2 = coeffs.c * coeffs.c
-    f = coeffs.f
-    F = float(np.sum(f * f / c2))
-    G = float(np.sum(f / c2))
-    U = float(np.sum(1.0 / c2))
-    if coeffs.h is not None:
-        h = coeffs.h
-        H = float(np.sum(f * h / c2))
-        V = float(np.sum(h / c2))
-        W = float(np.sum(h * h / c2))
-        return StepConstants(F=F, G=G, H=H, U=U, V=V, W=W, has_h=True)
-    return StepConstants(F=F, G=G, H=0.0, U=U, V=0.0, W=0.0, has_h=False)
+    """The six sums as the Gram matrix of the rows (1, h, f) in the c^-2 metric.
+
+    One product ``(rows / c^2) @ rows.T``; a missing h is a zero row, so V, W
+    and H are exactly 0.
+    """
+    has_h = coeffs.h is not None
+    h = coeffs.h if has_h else np.zeros_like(coeffs.f)
+    rows = np.vstack((np.ones_like(coeffs.f), h, coeffs.f))
+    (U, V, G), (_, W, H), (_, _, F) = ((rows / (coeffs.c * coeffs.c)) @ rows.T).tolist()
+    return StepConstants(F=F, G=G, H=H, U=U, V=V, W=W, has_h=has_h)
 
 
 @dataclass(frozen=True)

@@ -198,14 +198,6 @@ def initial_state(scenarios, returns, cost_coefficients=None):
 
 
 @dataclass(frozen=True)
-class ConfidenceLevel:
-    """Confidence level plus the atom-split probability P(Z < VaR)."""
-
-    beta: float
-    beta_star: float
-
-
-@dataclass(frozen=True)
 class TailSet:
     """The tail scenario set behind a CVaR evaluation.
 
@@ -230,7 +222,11 @@ def build_losses(scenarios):
 
 
 def scaled_group_losses(table, state):
-    """Loss columns rescaled to the current allocation via w / w_base."""
+    """Loss columns rescaled to the current allocation via w / w_base.
+
+    ``report`` never forms this K x N matrix; the slow Euler reference in the
+    tests does.
+    """
     if np.any(state.base_weights == 0.0):
         raise DomainError("degenerate state: zero base weight")
     scale = state.weights / state.base_weights
@@ -240,8 +236,8 @@ def scaled_group_losses(table, state):
 def portfolio_losses(table, state):
     """Total scenario losses Z @ (w / w_base) (degree-one homogeneous in w).
 
-    ``report`` and ``risk_contributions`` both take the loss vector from here,
-    so they break exact ties between scenarios the same way.
+    ``report`` and the tests' Euler reference both take the loss vector from
+    here, so they break exact ties between scenarios the same way.
     """
     return table.group_losses @ (state.weights / state.base_weights)
 
@@ -323,12 +319,6 @@ def cvar(losses, probabilities, beta):
     return float(ts.weights @ np.asarray(losses, dtype=float)) / (1.0 - beta)
 
 
-def risk_contributions(table, state, beta):
-    """Euler allocation of CVaR over the tail scenario set used by ``cvar``."""
-    ts = tail_split(portfolio_losses(table, state), table.probabilities, beta)
-    return (ts.weights @ scaled_group_losses(table, state)) / (1.0 - beta)
-
-
 def dar(contributions, state):
     """Per-unit-weight risk: contribution / weight; NaN for frozen components."""
     contributions = _vector(contributions, "contributions")
@@ -336,12 +326,6 @@ def dar(contributions, state):
     active = state.active
     out[active] = contributions[active] / state.weights[active]
     return out
-
-
-def standalone_cvar(table, state, n, beta):
-    """CVaR of the n-th group's scaled loss column on its own (one sort per call)."""
-    column = table.group_losses[:, n] * (state.weights[n] / state.base_weights[n])
-    return cvar(column, table.probabilities, beta)
 
 
 def _standalone_cvars(table, scale, beta):
@@ -374,7 +358,7 @@ class RiskReport:
     total_return_to_risk: float
     group_return_to_risk: np.ndarray
     revenue: float
-    confidence: ConfidenceLevel
+    beta_star: float  # P(L < VaR), the atom split's lower mass
     tail_signature: tuple
 
 
@@ -408,5 +392,5 @@ def report(table, state, beta):
                       diversification_index=diversification,
                       total_return=total_return, total_return_to_risk=total_re2ri,
                       group_return_to_risk=group_re2ri, revenue=state.revenue,
-                      confidence=ConfidenceLevel(beta=beta, beta_star=ts.beta_star),
+                      beta_star=ts.beta_star,
                       tail_signature=ts.signature)

@@ -19,7 +19,6 @@ from cvarpath import (
     GeneratorSpec,
     ObjectiveKind,
     PathParams,
-    best_feasible_direction,
     build_losses,
     convergence_study,
     cvar,
@@ -29,12 +28,11 @@ from cvarpath import (
     generate,
     hessian_sign_check,
     initial_state,
-    kappa_grid_search,
     portfolio_losses,
-    risk_contributions,
     run,
     solve_step,
 )
+from oracle import best_feasible_direction, kappa_grid_search, risk_contributions
 from conftest import random_distribution, random_matrix, random_step_instance
 
 

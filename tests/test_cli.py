@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cvarpath
-from cvarpath import read_scenarios
+from cvarpath import read_scenario_file
 from cvarpath.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
 
 
@@ -35,7 +35,7 @@ class TestGen:
     def test_gen_writes_readable_file(self, tmp_path, capsys):
         out = gen_file(tmp_path)
         assert "wrote" in capsys.readouterr().out
-        matrix = read_scenarios(out)
+        matrix = read_scenario_file(out).matrix
         assert matrix.n_groups == 6
         assert matrix.n_scenarios == 200
 
@@ -146,6 +146,13 @@ class TestBadValues:
         assert proc.returncode == EXIT_DOMAIN
         assert "error_code=config line 8: delta_c: expected float" in proc.stderr
 
+    @pytest.mark.parametrize("key", ["returns", "costs"])
+    def test_optimize_vector_of_wrong_length(self, tmp_path, key):
+        proc = self.optimize_with(tmp_path, key, "0.1,0.2")
+        assert proc.returncode == EXIT_DOMAIN
+        assert f"error_code=config {key} has 2 entries, expected 6" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_analyze_bad_returns(self, tmp_path):
         scen = gen_file(tmp_path)
         proc = run_cli("analyze", "--scenarios", str(scen), "--beta", "0.9", "--returns", "abc")
@@ -153,10 +160,32 @@ class TestBadValues:
         assert "error_code=config" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_convergence_bad_deltas(self, tmp_path):
+        cfg = write_good_config(tmp_path, gen_file(tmp_path))
+        proc = run_cli("convergence", "--config", str(cfg), "--deltas", "abc")
+        assert proc.returncode == EXIT_DOMAIN
+        assert "error_code=config --deltas: expected float, got 'abc'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_gen_block_size_zero(self, tmp_path):
+        proc = run_cli("gen", "--seed", "1", "--groups", "4", "--scenarios", "10",
+                       "--block-size", "0", "--out", str(tmp_path / "x.csv"))
+        assert proc.returncode == EXIT_DOMAIN
+        assert "error_code=config block size must be at least 1" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 BAD_TOKENS = ("nan", "inf", "-Infinity", "1e400", "", "abc", "-0.5", "1.5")
 GOOD_CONFIG = {"objective": "min_risk", "mode": "revenue_only", "beta": "0.9",
                "delta_c": "0.01", "total_cost": "0.05", "returns": "0.05"}
+
+
+def write_good_config(directory, scenarios):
+    """``directory/run.cfg``: the config above, reading ``scenarios``."""
+    cfg = Path(directory) / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in GOOD_CONFIG.items())
+                   + f"scenarios = {scenarios}\n")
+    return cfg
 
 
 @st.composite
@@ -232,6 +261,34 @@ class TestCliFuzz:
                 assert main(["analyze", "--scenarios", str(scen), "--beta", beta,
                              "--returns", config["returns"]]) in exits
             assert_lines_within(stderr.getvalue(), scenarios)
+
+    @given(seed=st.sampled_from(("3", "-1")),
+           groups=st.sampled_from(("0", "1", "2", "4", "6", "-2", "abc")),
+           block_size=st.sampled_from((None, "0", "-1", "1", "2", "3", "abc")),
+           rho=st.sampled_from(("0", "0.3", "0.99", "1", "-0.1", "nan", "inf", "abc")),
+           tail=st.sampled_from(("0.5", "2", "0", "-1", "nan", "inf", "19", "30", "100",
+                                 "1e308", "abc")),
+           deltas=st.lists(st.sampled_from(("1e-2", "5e-3", "2e-3", "1e-3", "0", "-1e-3",
+                                            "nan", "inf", "abc", "")), max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_gen_and_convergence_exit_code_only(self, seed, groups, block_size, rho, tail,
+                                                 deltas):
+        """``gen`` argv, then ``convergence --deltas`` on its file (or a good one)."""
+        exits = (EXIT_OK, EXIT_DOMAIN, EXIT_USAGE)
+        with tempfile.TemporaryDirectory() as tmp, \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            scen = Path(tmp) / "scen.csv"
+            argv = ["gen", "--seed", seed, "--groups", groups, "--scenarios", "20",
+                    "--rho", rho, "--tail", tail, "--out", str(scen)]
+            code = main(argv + ["--block-size", block_size] * (block_size is not None))
+            assert code in exits
+            if code != EXIT_OK:  # the sweep below still needs a scenario file
+                assert main(["gen", "--seed", "3", "--groups", "3", "--scenarios", "20",
+                             "--out", str(scen)]) == EXIT_OK
+            cfg = write_good_config(tmp, scen)
+            assert main(["convergence", "--config", str(cfg),
+                         "--deltas", ",".join(deltas)]) in exits
 
 
 class TestConvergence:

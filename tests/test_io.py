@@ -20,7 +20,6 @@ from cvarpath import (
     initial_state,
     parse_run_config,
     read_scenario_file,
-    read_scenarios,
     run,
     write_path,
     write_scenarios,
@@ -39,7 +38,7 @@ class TestScenarioRoundTrip:
                                 probabilities=matrix.probabilities)
         path = tmp_path / "scen.csv"
         write_scenarios(matrix, path)
-        back = read_scenarios(path)
+        back = read_scenario_file(path).matrix
         np.testing.assert_array_equal(back.initial_values, matrix.initial_values)
         np.testing.assert_array_equal(back.values, matrix.values)
         np.testing.assert_array_equal(back.probabilities, matrix.probabilities)
@@ -188,7 +187,7 @@ class TestScenarioRoundTrip:
         write_scenarios(generate(GeneratorSpec(seed=4, n_groups=100, n_scenarios=2000)), path)
         tracemalloc.start()
         try:
-            values = read_scenarios(path).values
+            values = read_scenario_file(path).matrix.values
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

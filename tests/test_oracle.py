@@ -8,14 +8,12 @@ from cvarpath import (
     DomainError,
     InfeasibleStepError,
     PathParams,
-    best_feasible_direction,
     build_losses,
     cvar_tail_average,
-    finite_difference_dar,
-    kappa_grid_search,
     solve_step,
 )
-from cvarpath.oracle import _feasible_sphere
+from oracle import (_feasible_sphere, best_feasible_direction, finite_difference_dar,
+                    kappa_grid_search)
 from conftest import random_step_instance, small_portfolio
 
 

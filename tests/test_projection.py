@@ -15,16 +15,15 @@ from cvarpath import (
     ObjectiveKind,
     PathParams,
     StepConstants,
-    best_feasible_direction,
     constants,
     direction_parts,
     effective_problem,
     extremum_kappas,
     hessian_sign_check,
-    kappa_grid_search,
     solve_step,
     validate_mode,
 )
+from oracle import best_feasible_direction, kappa_grid_search
 from conftest import random_step_instance
 
 BOTH = ConstraintMode(ConstraintVariant.BOTH)
