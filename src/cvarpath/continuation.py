@@ -60,6 +60,9 @@ class ContinuationConfig:
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.delta_c <= 0.0:
             raise ConfigError("delta_c must be positive")
+        if not math.isfinite(self.total_cost / self.delta_c):
+            raise ConfigError(f"delta_c {self.delta_c!r} is too small: total_cost / delta_c "
+                              "overflows")
         if not 0.0 <= self.beta < 1.0:
             raise ConfigError("beta must be in [0, 1)")
         if self.total_cost < 0.0:
@@ -121,11 +124,11 @@ def apply_step(state, y, delta_c, clamp_nonnegative):
     newly = ()
     if clamp_nonnegative:
         crossing = (weights <= 0.0) & ~frozen
-        if np.any(crossing):
+        if crossing.any():
             weights[crossing] = 0.0
             frozen[crossing] = True
             newly = tuple(int(i) for i in np.flatnonzero(crossing))
-    return replace(state, weights=weights, frozen=frozen), newly
+    return state.with_weights(weights, frozen), newly
 
 
 def rescale_fixed_risk(state, cvar_before, cvar_after):
@@ -133,11 +136,11 @@ def rescale_fixed_risk(state, cvar_before, cvar_after):
     if cvar_after <= 0.0:
         raise DomainError("cannot rescale: CVaR after the step is not positive")
     factor = cvar_before / cvar_after
-    return replace(state, weights=state.weights * factor), factor
+    return state.with_weights(state.weights * factor), factor
 
 
 def _relative(value, base):
-    if base == 0.0 or not np.isfinite(base):
+    if base == 0.0 or not math.isfinite(base):
         return np.nan
     return value / base
 
@@ -179,7 +182,7 @@ def run(scenarios, state0, config):
     _, maximize = effective_problem(config.objective, config.mode)
     for m in range(1, config.n_steps + 1):
         active = state.active
-        if not np.any(active):
+        if not active.any():
             reason = "all-clamped"
             break
         try:
@@ -200,7 +203,7 @@ def run(scenarios, state0, config):
         y[active] = sol.y
         cvar_before = rep.cvar
         state, clamped = apply_step(state, y, config.delta_c, config.clamp_nonnegative)
-        all_clamped = not np.any(state.active)
+        all_clamped = not state.active.any()
         rep = report(table, state, config.beta)
         factor = 1.0
         if config.fixed_total_risk and not all_clamped:

@@ -165,8 +165,10 @@ class GeneratorSpec:
             raise ConfigError("need at least 1 scenario")
         if not 0.0 < self.tail <= _MAX_TAIL:
             raise ConfigError(f"tail parameter must be in (0, {_MAX_TAIL:.4g}], got {self.tail!r}")
-        if self.loss_scale <= 0.0:
-            raise ConfigError("loss_scale must be positive")
+        for name in ("loss_scale", "base_value"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigError(f"{name} must be finite and positive, got {value!r}")
         blocks = self.blocks
         if blocks is None:
             blocks = ((self.n_groups, 0.3),)

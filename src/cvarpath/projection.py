@@ -11,6 +11,7 @@ Gram solve of at most 2x2 gives the projection, the Lagrange multiplier q
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -176,7 +177,7 @@ def constants(coeffs):
     """
     has_h = coeffs.h is not None
     h = coeffs.h if has_h else np.zeros_like(coeffs.f)
-    rows = np.vstack((np.ones_like(coeffs.f), h, coeffs.f))
+    rows = np.array((np.ones_like(coeffs.f), h, coeffs.f))
     (U, V, G), (_, W, H), (_, _, F) = ((rows / (coeffs.c * coeffs.c)) @ rows.T).tolist()
     return StepConstants(F=F, G=G, H=H, U=U, V=V, W=W, has_h=has_h)
 
@@ -298,7 +299,7 @@ def direction_parts(consts, coeffs, mode, params):
         R += branch.mu[1] * coeffs.h
     # a0 is the squared norm of P.  Summed from P itself it keeps the unit cost
     # exact where F - b.lam would cancel to a few digits (a0 << F).
-    return replace(branch, P=P, R=R, a0=float(np.sum(P * P / (coeffs.c * coeffs.c))))
+    return replace(branch, P=P, R=R, a0=float((P * P / (coeffs.c * coeffs.c)).sum()))
 
 
 def _rate(branch, consts, mode, maximize):
@@ -311,7 +312,7 @@ def _rate(branch, consts, mode, maximize):
             raise DegenerateProblemError("zero objective gradient: state is locally optimal")
         raise DegenerateProblemError(
             "objective gradient lies in the constraint span (a0 = 0)")
-    q_mag = float(np.sqrt(-branch.a0 / branch.a2))
+    q_mag = math.sqrt(-branch.a0 / branch.a2)
     q = q_mag if maximize else -q_mag
     return q, branch.a0 / q + branch.linear_q
 
@@ -362,7 +363,7 @@ def extremum_kappas(consts, mode, fixed_revenue, fixed_second, maximize):
         raise DegenerateProblemError(
             "extremum branch positivity violated: objective gradient lies in the constraint span")
     pinned = _project(consts, fixed)
-    q_bar = float(np.sqrt(pinned.a0))
+    q_bar = math.sqrt(pinned.a0) if pinned.a0 >= 0.0 else math.nan  # NaN, as np.sqrt gives
     if free and not maximize:
         q_bar = -q_bar
     gram = ((consts.U, consts.V), (consts.V, consts.W))

@@ -6,6 +6,7 @@ weight vector.  Losses are obtained by scaling the recorded loss columns with
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +25,7 @@ def _vector(x, name):
 
 
 def _finite(arr, name):
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DataError(f"{name} must all be finite")
     return arr
 
@@ -161,6 +162,28 @@ class PortfolioState:
             raise DomainError("active weight components must be nonzero")
         self.base_value = float(self.base_value)
 
+    def with_weights(self, weights, frozen=None):
+        """This state at new weights (and frozen mask), checking only what a step changes.
+
+        The other fields were checked when this state was built and are shared.
+        A rejected input raises what ``PortfolioState(...)`` would raise.
+        """
+        weights = _vector(weights, "weights")
+        if weights.shape != self.returns.shape:
+            raise DataError("returns length does not match weights")
+        _finite(weights, "weights")
+        if frozen is None:
+            frozen = self.frozen
+        else:
+            frozen = np.asarray(frozen, dtype=bool)
+            if frozen.shape != weights.shape:
+                raise DataError("frozen mask length does not match weights")
+        if ((weights == 0.0) & ~frozen).any():
+            raise DomainError("active weight components must be nonzero")
+        state = object.__new__(type(self))  # a copy of the fields, without __post_init__
+        state.__dict__.update(self.__dict__, weights=weights, frozen=frozen)
+        return state
+
     @property
     def n_groups(self):
         return self.weights.shape[0]
@@ -242,18 +265,35 @@ def portfolio_losses(table, state):
     return table.group_losses @ (state.weights / state.base_weights)
 
 
-def _select_tail(losses, probabilities, beta):
-    """The selection behind ``var`` and ``tail_split``.
+def _tail_inputs(losses, probabilities):
+    """The losses and probabilities as checked float vectors.
 
-    Returns the validated losses and probabilities, the ascending indices of
-    the candidate rows (loss >= cut), VaR and beta_star = P(L < VaR).
+    Float vectors of one shape are checked by one dot product: a NaN or +-inf
+    in either makes it non-finite, while a finite pair whose product overflows
+    passes (``np.vdot``, unlike ``@``, warns of neither).  Anything else runs
+    the exact checks, in the order that decides which fault is named.
     """
+    if (type(losses) is np.ndarray and type(probabilities) is np.ndarray
+            and losses.dtype == probabilities.dtype == float and losses.ndim == 1
+            and losses.size and probabilities.shape == losses.shape
+            and math.isfinite(np.vdot(probabilities, losses))):
+        return losses, probabilities
     losses = _finite(_vector(losses, "losses"), "losses")
     if losses.size == 0:
         raise DataError("empty loss vector")
     probabilities = _finite(_vector(probabilities, "probabilities"), "probabilities")
     if probabilities.shape != losses.shape:
         raise DataError("probabilities length does not match losses")
+    return losses, probabilities
+
+
+def _select_tail(losses, probabilities, beta):
+    """The selection behind ``var`` and ``tail_split``.
+
+    Returns the validated losses and probabilities, the ascending indices of
+    the candidate rows (loss >= cut), VaR and beta_star = P(L < VaR).
+    """
+    losses, probabilities = _tail_inputs(losses, probabilities)
     if not 0.0 <= beta < 1.0:
         raise DomainError(f"confidence level must be in [0, 1), got {beta!r}")
     k = losses.size
@@ -264,13 +304,17 @@ def _select_tail(losses, probabilities, beta):
         below = float(probabilities @ (losses < cut))
         if below >= beta - _CDF_SLACK:  # the cut may lie above VaR
             cut, below = -np.inf, 0.0
-    rows = np.flatnonzero(losses >= cut)
-    atoms, inverse = np.unique(losses[rows], return_inverse=True)
-    cdf = below + np.cumsum(np.bincount(inverse, weights=probabilities[rows]))
-    idx = int(np.searchsorted(cdf, beta - _CDF_SLACK, side="left"))
-    idx = min(idx, atoms.size - 1)
-    beta_star = float(cdf[idx - 1]) if idx > 0 else below
-    return losses, probabilities, rows, float(atoms[idx]), beta_star
+    rows = (losses >= cut).nonzero()[0]
+    candidates = losses[rows]
+    order = candidates.argsort()
+    ascending = candidates[order]
+    cdf = below + probabilities[rows[order]].cumsum()
+    # VaR is the loss at which the CDF first reaches beta; a tie's CDF is
+    # complete at its last row, so the atom's first row gives beta_star.
+    v = ascending[min(int(cdf.searchsorted(beta - _CDF_SLACK)), ascending.size - 1)]
+    first = int(ascending.searchsorted(v))
+    beta_star = float(cdf[first - 1]) if first else below
+    return losses, probabilities, rows, float(v), beta_star
 
 
 def var(losses, probabilities, beta):
@@ -278,8 +322,8 @@ def var(losses, probabilities, beta):
 
     The losses are selected, not sorted.  With m = floor((1 - beta) K) + 2,
     the cut t is the (K - m)-th order statistic (one ``np.partition``), and
-    only the candidate rows with loss >= t are merged into atoms, their CDF
-    offset by P(L < t).  If P(L < t) >= beta - slack the cut may lie above the
+    only the candidate rows with loss >= t are sorted and their ties merged
+    into atoms, their CDF offset by P(L < t).  If P(L < t) >= beta - slack the cut may lie above the
     VaR atom, so every row is a candidate, as it is when m >= K (always for
     beta = 0).  With uniform probabilities P(L < t) <= beta - 1/K, so one
     partition always suffices.  A non-finite loss or probability raises
@@ -307,7 +351,7 @@ def tail_split(losses, probabilities, beta):
     weights = np.zeros(losses.size)
     weights[above] = probabilities[above]
     weights[at] = probabilities[at] * fraction
-    signature = (tuple(above), tuple(at), fraction)
+    signature = (tuple(above.tolist()), tuple(at.tolist()), fraction)
     return TailSet(var=v, beta=beta, beta_star=beta_star,
                    beta_star_prime=beta_star_prime, weights=weights,
                    signature=signature)
@@ -322,10 +366,8 @@ def cvar(losses, probabilities, beta):
 def dar(contributions, state):
     """Per-unit-weight risk: contribution / weight; NaN for frozen components."""
     contributions = _vector(contributions, "contributions")
-    out = np.full(state.n_groups, np.nan)
-    active = state.active
-    out[active] = contributions[active] / state.weights[active]
-    return out
+    return np.divide(contributions, state.weights, out=np.full(state.n_groups, np.nan),
+                     where=state.active)
 
 
 def _standalone_cvars(table, scale, beta):
@@ -337,7 +379,11 @@ def _standalone_cvars(table, scale, beta):
     """
     out = np.zeros(scale.shape)
     for sign, side in ((1.0, scale > 0.0), (-1.0, scale < 0.0)):
-        known = table._column_cvars.setdefault((beta, sign), np.full(scale.shape, np.nan))
+        if not side.any():
+            continue
+        known = table._column_cvars.get((beta, sign))
+        if known is None:
+            known = table._column_cvars[beta, sign] = np.full(scale.shape, np.nan)
         for n in np.flatnonzero(side & np.isnan(known)):
             known[n] = cvar(sign * table.group_losses[:, n], table.probabilities, beta)
         out[side] = np.abs(scale[side]) * known[side]
@@ -374,7 +420,7 @@ def report(table, state, beta):
     ts = tail_split(total, table.probabilities, beta)
     inv_tail = 1.0 / (1.0 - beta)
     cvar_total = float(ts.weights @ total) * inv_tail
-    rows = np.flatnonzero(ts.weights)
+    rows = (ts.weights != 0.0).nonzero()[0]
     contributions = (ts.weights[rows] @ table.group_losses[rows]) * scale * inv_tail
     dar_values = dar(contributions, state)
     standalone = _standalone_cvars(table, scale, beta)
@@ -384,9 +430,8 @@ def report(table, state, beta):
     x0 = state.base_value
     total_re2ri = total_return * x0 / cvar_total if cvar_total != 0.0 else np.nan
     group_values = state.weights * x0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        group_re2ri = np.where(standalone != 0.0,
-                               state.returns * group_values / standalone, np.nan)
+    group_re2ri = np.divide(state.returns * group_values, standalone,
+                            out=np.full(standalone.shape, np.nan), where=standalone != 0.0)
     return RiskReport(var=ts.var, cvar=cvar_total, contributions=contributions,
                       dar=dar_values, standalone_cvar=standalone,
                       diversification_index=diversification,

@@ -45,6 +45,18 @@ class TestGen:
         assert code == EXIT_DOMAIN
         assert "error_code=config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value,name", [
+        ("--scale", "nan", "loss_scale"), ("--scale", "inf", "loss_scale"),
+        ("--scale", "0", "loss_scale"), ("--base", "nan", "base_value"),
+        ("--base", "-5", "base_value"), ("--base", "inf", "base_value"),
+    ])
+    def test_gen_scale_and_base_must_be_finite_and_positive(self, tmp_path, capsys, flag,
+                                                            value, name):
+        code = main(["gen", "--seed", "1", "--groups", "4", "--scenarios", "10",
+                     flag, value, "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_DOMAIN
+        assert f"error_code=config {name} must be finite and positive" in capsys.readouterr().err
+
 
 class TestAnalyze:
     def test_analyze_prints_report(self, tmp_path, capsys):
@@ -128,6 +140,7 @@ class TestBadValues:
     @pytest.mark.parametrize("key,value", [
         ("returns", "abc"), ("costs", "1,zz"), ("kappa1", "abc"), ("kappa2", "1e"),
         ("max_steps", "1.5"), ("beta", "nan"), ("delta_c", "nan"), ("total_cost", "inf"),
+        ("delta_c", "1e-320"),
     ])
     def test_optimize_config_error(self, tmp_path, key, value):
         proc = self.optimize_with(tmp_path, key, value)
@@ -165,6 +178,16 @@ class TestBadValues:
         proc = run_cli("convergence", "--config", str(cfg), "--deltas", "abc")
         assert proc.returncode == EXIT_DOMAIN
         assert "error_code=config --deltas: expected float, got 'abc'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_optimize_overflowing_losses(self, tmp_path):
+        """Every cell is finite, but the portfolio loss of the first row overflows."""
+        scen = tmp_path / "big.csv"
+        scen.write_text("group,a,b\ninitial,1,1\n-1.2e308,-1.2e308\n0.5,1.5\n1.5,0.5\n")
+        cfg = write_good_config(tmp_path, scen)
+        proc = run_cli("optimize", "--config", str(cfg), "--output", str(tmp_path / "p.csv"))
+        assert proc.returncode == EXIT_DOMAIN
+        assert "error_code=data losses must all be finite" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_gen_block_size_zero(self, tmp_path):
@@ -268,21 +291,27 @@ class TestCliFuzz:
            rho=st.sampled_from(("0", "0.3", "0.99", "1", "-0.1", "nan", "inf", "abc")),
            tail=st.sampled_from(("0.5", "2", "0", "-1", "nan", "inf", "19", "30", "100",
                                  "1e308", "abc")),
+           scale=st.sampled_from(("0.1", "2", "0", "-1", "nan", "inf", "-inf", "abc")),
+           base=st.sampled_from(("100", "1", "0", "-5", "nan", "inf", "-inf", "abc")),
            deltas=st.lists(st.sampled_from(("1e-2", "5e-3", "2e-3", "1e-3", "0", "-1e-3",
                                             "nan", "inf", "abc", "")), max_size=4))
     @settings(max_examples=60, deadline=None)
     def test_gen_and_convergence_exit_code_only(self, seed, groups, block_size, rho, tail,
-                                                 deltas):
-        """``gen`` argv, then ``convergence --deltas`` on its file (or a good one)."""
+                                                 scale, base, deltas):
+        """``gen`` argv, then ``convergence --deltas`` on its file (or a good one).
+        ``gen`` reads no data, so a bad option is never a data error."""
         exits = (EXIT_OK, EXIT_DOMAIN, EXIT_USAGE)
+        stderr = io.StringIO()
         with tempfile.TemporaryDirectory() as tmp, \
                 contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
+                contextlib.redirect_stderr(stderr):
             scen = Path(tmp) / "scen.csv"
             argv = ["gen", "--seed", seed, "--groups", groups, "--scenarios", "20",
-                    "--rho", rho, "--tail", tail, "--out", str(scen)]
+                    "--rho", rho, "--tail", tail, "--scale", scale, "--base", base,
+                    "--out", str(scen)]
             code = main(argv + ["--block-size", block_size] * (block_size is not None))
             assert code in exits
+            assert "error_code=data" not in stderr.getvalue()
             if code != EXIT_OK:  # the sweep below still needs a scenario file
                 assert main(["gen", "--seed", "3", "--groups", "3", "--scenarios", "20",
                              "--out", str(scen)]) == EXIT_OK

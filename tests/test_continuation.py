@@ -3,6 +3,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cvarpath import continuation
 from cvarpath import (
@@ -10,10 +12,13 @@ from cvarpath import (
     ConstraintMode,
     ConstraintVariant,
     ContinuationConfig,
+    DataError,
     DomainError,
     ExtremumAutopilot,
     FixedKappas,
     ObjectiveKind,
+    PortfolioError,
+    PortfolioState,
     ScenarioMatrix,
     apply_step,
     build_losses,
@@ -187,6 +192,78 @@ class TestStepPrimitives:
         np.testing.assert_allclose(new.weights, state.weights * 0.5)
 
 
+@st.composite
+def states_and_weights(draw):
+    """A valid state with some groups frozen, plus new weights and maybe a new
+    frozen mask; the new weights may hold zeros, NaN or +-inf."""
+    n = draw(st.integers(2, 8))
+
+    def vector(lo, hi):
+        return draw(arrays(np.float64, n, elements=st.floats(lo, hi)))
+
+    frozen = draw(arrays(np.bool_, n))
+    state = PortfolioState(weights=np.where(frozen, 0.0, vector(0.01, 2.0)),
+                           returns=vector(-0.1, 0.2), cost_coefficients=vector(0.5, 2.0),
+                           base_value=draw(st.floats(1.0, 1e3)),
+                           base_weights=vector(0.01, 1.0), frozen=frozen)
+    entry = st.one_of(st.floats(-2.0, 2.0), st.sampled_from((0.0, np.nan, np.inf, -np.inf)))
+    new_weights = draw(arrays(np.float64, n, elements=entry))
+    new_frozen = draw(st.one_of(st.none(), arrays(np.bool_, n)))
+    return state, new_weights, new_frozen
+
+
+def outcome(build):
+    """The state ``build()`` makes, or the type and message of what it raises."""
+    try:
+        return build()
+    except PortfolioError as exc:
+        return type(exc), str(exc)
+
+
+class TestLeanState:
+    """``with_weights`` against a fully checked ``PortfolioState(...)``."""
+
+    @given(states_and_weights())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_checked_constructor(self, drawn):
+        state, weights, frozen = drawn
+        got = outcome(lambda: state.with_weights(weights.copy(), frozen))
+        want = outcome(lambda: dataclasses.replace(
+            state, weights=weights.copy(), frozen=state.frozen if frozen is None else frozen))
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert isinstance(got, PortfolioState)
+        for field in dataclasses.fields(PortfolioState):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            assert type(a) is type(b)
+            np.testing.assert_array_equal(a, b)
+            assert np.asarray(a).dtype == np.asarray(b).dtype
+
+    def test_step_to_exact_zero_without_clamp(self):
+        _, state = small_portfolio()
+        y = np.zeros(state.n_groups)
+        y[0] = -state.weights[0]  # delta_c = 1, so the new weight is exactly 0
+        with pytest.raises(DomainError, match="^active weight components must be nonzero$"):
+            apply_step(state, y, 1.0, clamp_nonnegative=False)
+
+    @pytest.mark.parametrize("sign,clamp", ((1.0, True), (1.0, False), (-1.0, False)))
+    def test_step_to_infinity(self, sign, clamp):
+        """Under clamping a weight driven to -inf is clamped to 0, not an error."""
+        _, state = small_portfolio()
+        y = np.zeros(state.n_groups)
+        y[1] = sign * 1e308
+        with np.errstate(over="ignore"), \
+                pytest.raises(DataError, match="^weights must all be finite$"):
+            apply_step(state, y, 1e10, clamp_nonnegative=clamp)
+
+    def test_rescale_to_infinity(self):
+        _, state = small_portfolio()
+        with np.errstate(over="ignore"), \
+                pytest.raises(DataError, match="^weights must all be finite$"):
+            rescale_fixed_risk(state, 1e308, 1e-308)
+
+
 class TestTermination:
     def test_steady_state_detection(self):
         """A tolerance above every per-step change trips the window counter."""
@@ -243,6 +320,15 @@ class TestTermination:
     def test_non_finite_numbers_rejected(self, name, value):
         with pytest.raises(ConfigError, match=name):
             ContinuationConfig(objective=ObjectiveKind.MIN_RISK, mode=REV, **{name: value})
+
+    def test_delta_c_too_small_for_the_step_count(self):
+        with pytest.raises(ConfigError, match="delta_c"):
+            ContinuationConfig(objective=ObjectiveKind.MIN_RISK, mode=REV, delta_c=1e-320,
+                               total_cost=0.1)
+        # a zero budget needs no steps, however small the step
+        cfg = ContinuationConfig(objective=ObjectiveKind.MIN_RISK, mode=REV, delta_c=1e-320,
+                                 total_cost=0.0)
+        assert cfg.n_steps == 0
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

@@ -129,6 +129,41 @@ class TestTailSelection:
         with pytest.raises(DataError, match=f"^{name} must all be finite"):
             fn(inputs["losses"], inputs["probabilities"], 0.5)
 
+    @given(loss_distributions(), st.sampled_from(("losses", "probabilities")),
+           st.sampled_from((np.nan, np.inf, -np.inf)), st.booleans(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_any_non_finite_entry_is_named(self, drawn, name, value, zero_mass, data):
+        """One NaN or +-inf in either input, at any row, a row of zero
+        probability included, ends in the exact check's DataError."""
+        losses, probs, beta = drawn
+        inputs = {"losses": losses.copy(), "probabilities": probs.copy()}
+        row = data.draw(st.integers(0, losses.size - 1))
+        if zero_mass:
+            inputs["probabilities"][row] = 0.0
+        inputs[name][row] = value
+        with pytest.raises(DataError) as want:
+            risk._finite(inputs[name], name)
+        for fn in (var, tail_split, cvar):
+            with pytest.raises(DataError) as got:
+                fn(inputs["losses"], inputs["probabilities"], beta)
+            assert str(got.value) == str(want.value)
+
+    @given(st.integers(2, 60), st.booleans(), st.floats(0.0, 0.999), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_finite_inputs_whose_dot_product_overflows_pass(self, k, ties, beta, data):
+        """Losses near 1e308 with probability weights of at least 1 (a
+        Sum(p L) above the largest float) pass the check and select the tail
+        the sort-based split selects."""
+        big = (st.sampled_from((1e308, 1.25e308, 1.5e308, np.finfo(float).max)) if ties
+               else st.floats(1e308, np.finfo(float).max))
+        losses = data.draw(arrays(np.float64, k, elements=big))
+        probs = data.draw(arrays(np.float64, k, elements=st.floats(1.0, 4.0)))
+        assert np.vdot(probs, losses) == np.inf
+        got = tail_split(losses, probs, beta)
+        want = tail_split_by_sort(losses, probs, beta)
+        assert got.var == want.var == var(losses, probs, beta)
+        assert got.signature[:2] == want.signature[:2]
+
 
 class TestCvarOracle:
     def test_matches_oracle_on_random_distributions(self):
@@ -348,6 +383,42 @@ class TestStandaloneByHomogeneity:
         res = run(matrix, state, cfg)
         assert len(res.records) == 21
         assert len(calls) <= state.n_groups
+
+    def test_no_per_step_scan_of_the_scenarios(self, monkeypatch):
+        """A clean table is checked where it enters; no step scans a K-vector
+        for finiteness again."""
+        matrix, state = small_portfolio(seed=0, n=6, k=300)
+        k = matrix.n_scenarios
+        scanned = []
+        original = risk._finite
+
+        def counting(arr, name):
+            if np.size(arr) == k:
+                scanned.append(name)
+            return original(arr, name)
+
+        monkeypatch.setattr(risk, "_finite", counting)
+        cfg = ContinuationConfig(objective=ObjectiveKind.MIN_RISK,
+                                 mode=ConstraintMode(ConstraintVariant.REVENUE_ONLY),
+                                 kappa_policy=FixedKappas(), beta=0.9, delta_c=1e-3,
+                                 total_cost=0.02)
+        res = run(matrix, state, cfg)
+        assert len(res.records) == 21
+        assert scanned == []
+
+    def test_overflowing_portfolio_losses_are_a_data_error(self):
+        """Every cell is finite, but Z @ s overflows in the first row."""
+        big = -np.finfo(float).max / 1.5
+        matrix = ScenarioMatrix(initial_values=[1.0, 1.0],
+                                values=[[big, big], [0.5, 1.5], [1.5, 0.5], [0.9, 1.2]],
+                                probabilities=np.full(4, 0.25))
+        state = initial_state(matrix, 0.05)
+        cfg = ContinuationConfig(objective=ObjectiveKind.MIN_RISK,
+                                 mode=ConstraintMode(ConstraintVariant.REVENUE_ONLY),
+                                 beta=0.5, delta_c=1e-3, total_cost=0.01)
+        with np.errstate(over="ignore"):
+            with pytest.raises(DataError, match="^losses must all be finite$"):
+                run(matrix, state, cfg)
 
     def test_frozen_column_is_exactly_zero(self):
         matrix, state = small_portfolio(seed=15)
