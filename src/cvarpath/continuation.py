@@ -21,12 +21,9 @@ from .projection import (ConstraintMode, ObjectiveKind, PathParams,
 from .risk import build_losses, report
 
 
-@dataclass(frozen=True)
-class FixedKappas:
-    """Constant path rates applied at every step."""
-
-    kappa1: float = 0.0
-    kappa2: float = 0.0
+FixedKappas = PathParams  # the policy of constant path rates at every step
+_AT_REST = FixedKappas()  # the default policy, and the rates of the step-0 record
+_MAX_STEPS = 10**6  # a flagship record holds about 6 KB, so this is about 6 GB of path
 
 
 @dataclass(frozen=True)
@@ -44,7 +41,7 @@ class ExtremumAutopilot:
 class ContinuationConfig:
     objective: ObjectiveKind
     mode: ConstraintMode
-    kappa_policy: object = FixedKappas()
+    kappa_policy: object = _AT_REST
     beta: float = 0.95
     delta_c: float = 1e-4
     total_cost: float = 0.1
@@ -55,9 +52,13 @@ class ContinuationConfig:
     steady_state_window: int = 50
 
     def __post_init__(self):
-        for name in ("beta", "delta_c", "total_cost", "steady_state_tol"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
+        numbers = [(name, getattr(self, name))
+                   for name in ("beta", "delta_c", "total_cost", "steady_state_tol")]
+        if isinstance(self.kappa_policy, FixedKappas):
+            numbers += [("kappa1", self.kappa_policy.kappa1), ("kappa2", self.kappa_policy.kappa2)]
+        for name, value in numbers:
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.delta_c <= 0.0:
             raise ConfigError("delta_c must be positive")
         if not math.isfinite(self.total_cost / self.delta_c):
@@ -67,6 +68,14 @@ class ContinuationConfig:
             raise ConfigError("beta must be in [0, 1)")
         if self.total_cost < 0.0:
             raise ConfigError("total_cost must be non-negative")
+        if self.max_steps is not None and self.max_steps < 0:
+            raise ConfigError(f"max_steps must be non-negative, got {self.max_steps}")
+        if self.steady_state_window < 1:
+            raise ConfigError(f"steady_state_window must be at least 1, "
+                              f"got {self.steady_state_window}")
+        if self.n_steps > _MAX_STEPS:
+            raise ConfigError(f"delta_c {self.delta_c!r} asks for {self.n_steps:.3g} steps, "
+                              f"more than {_MAX_STEPS}: raise delta_c or set max_steps")
         validate_mode(self.objective, self.mode)
 
     @property
@@ -145,9 +154,9 @@ def _relative(value, base):
     return value / base
 
 
-def _make_record(m, c, kappas, q, big_q, state, rep, clamped, factor, base):
+def _make_record(m, c, params, q, big_q, state, rep, clamped, factor, base):
     return PathRecord(
-        step=m, c=c, kappa1=kappas[0], kappa2=kappas[1], q=q, Q=big_q,
+        step=m, c=c, kappa1=params.kappa1, kappa2=params.kappa2, q=q, Q=big_q,
         weights=state.weights.copy(), cvar=rep.cvar, total_return=rep.total_return,
         revenue=rep.revenue, diversification_index=rep.diversification_index,
         cvar_rel=_relative(rep.cvar, base["cvar"]),
@@ -161,11 +170,11 @@ def _make_record(m, c, kappas, q, big_q, state, rep, clamped, factor, base):
 
 def _resolve_kappas(policy, consts, mode, maximize):
     if isinstance(policy, FixedKappas):
-        return policy.kappa1, policy.kappa2
+        return policy
     if isinstance(policy, ExtremumAutopilot):
         ext = extremum_kappas(consts, mode, policy.fixed_revenue,
                               policy.fixed_second, maximize)
-        return ext.kappa1_bar, ext.kappa2_bar
+        return PathParams(kappa1=ext.kappa1_bar, kappa2=ext.kappa2_bar)
     raise ConfigError(f"unknown kappa policy {policy!r}")
 
 
@@ -176,7 +185,7 @@ def run(scenarios, state0, config):
     rep = report(table, state, config.beta)
     base = {"cvar": rep.cvar, "return": rep.total_return, "revenue": rep.revenue,
             "di": rep.diversification_index, "re2ri": rep.total_return_to_risk}
-    records = [_make_record(0, 0.0, (0.0, 0.0), 0.0, 0.0, state, rep, (), 1.0, base)]
+    records = [_make_record(0, 0.0, _AT_REST, 0.0, 0.0, state, rep, (), 1.0, base)]
     reason = "budget"
     streak = 0
     _, maximize = effective_problem(config.objective, config.mode)
@@ -188,8 +197,7 @@ def run(scenarios, state0, config):
         try:
             coeffs = select_coefficients(config.objective, state, rep, config.mode)
             consts = constants(coeffs)
-            k1, k2 = _resolve_kappas(config.kappa_policy, consts, config.mode, maximize)
-            params = PathParams(kappa1=k1, kappa2=k2)
+            params = _resolve_kappas(config.kappa_policy, consts, config.mode, maximize)
             sol = solve_step(consts, coeffs, config.mode, params, maximize)
         except InfeasibleStepError:
             reason = "infeasible-step"
@@ -209,7 +217,7 @@ def run(scenarios, state0, config):
         if config.fixed_total_risk and not all_clamped:
             state, factor = rescale_fixed_risk(state, cvar_before, rep.cvar)
             rep = report(table, state, config.beta)
-        records.append(_make_record(m, m * config.delta_c, (k1, k2), sol.q, sol.Q,
+        records.append(_make_record(m, m * config.delta_c, params, sol.q, sol.Q,
                                     state, rep, clamped, factor, base))
         if all_clamped:
             reason = "all-clamped"

@@ -200,8 +200,12 @@ def generate(spec):
     standardized = np.hstack(columns)
     n = spec.n_groups
     base = np.full(n, spec.base_value / n)
-    losses = base[None, :] * spec.loss_scale * standardized
-    values = base[None, :] - losses
+    try:  # the floating-point flags catch an overflow without another pass over the table
+        with np.errstate(over="raise", invalid="raise"):
+            values = base[None, :] - base[None, :] * spec.loss_scale * standardized
+    except FloatingPointError:
+        raise ConfigError(f"loss_scale {spec.loss_scale!r} and base_value {spec.base_value!r} "
+                          "give non-finite scenario values") from None
     probabilities = np.full(k, 1.0 / k)
     return ScenarioMatrix(initial_values=base, values=values, probabilities=probabilities)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -47,10 +47,12 @@ class ConstraintMode:
 
     variant: ConstraintVariant
     second_meaning: str = "return"  # "return" or "risk"
+    rows: tuple = field(init=False, repr=False, compare=False)  # active: 0 revenue, 1 second
 
     def __post_init__(self):
         if self.second_meaning not in ("return", "risk"):
             raise ConfigError(f"unknown second-constraint meaning {self.second_meaning!r}")
+        object.__setattr__(self, "rows", (0,) * self.has_revenue + (1,) * self.has_second)
 
     @property
     def has_revenue(self):
@@ -89,23 +91,12 @@ def effective_problem(objective, mode):
 
 @dataclass(frozen=True)
 class Coefficients:
-    """Objective gradient f, second-constraint gradient h, cost coefficients c."""
+    """Objective gradient f, second-constraint gradient h, cost coefficients c
+    (taken from a checked ``PortfolioState``, so c > 0 is not re-checked)."""
 
     f: np.ndarray
     h: np.ndarray  # None when the objective row defines no second constraint
     c: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "f", np.asarray(self.f, dtype=float))
-        object.__setattr__(self, "c", np.asarray(self.c, dtype=float))
-        if self.h is not None:
-            object.__setattr__(self, "h", np.asarray(self.h, dtype=float))
-            if self.h.shape != self.f.shape:
-                raise DomainError("h length does not match f")
-        if self.c.shape != self.f.shape:
-            raise DomainError("c length does not match f")
-        if np.any(self.c <= 0.0):
-            raise DomainError("cost coefficients must be strictly positive")
 
 
 def select_coefficients(objective, state, report, mode):
@@ -155,17 +146,23 @@ class StepConstants:
     has_h: bool
 
     def __post_init__(self):
+        # x * x, not x ** 2, which raises OverflowError.  A finite square of the
+        # summed magnitudes also bounds every product in the minors below.
+        sums = (self.U, self.V, self.W, self.F, self.G, self.H)
+        scale = sum(map(abs, sums), 1.0)
+        if not math.isfinite(scale * scale):
+            raise DomainError("step constants U, V, W, F, G, H must be finite, their magnitudes "
+                              f"summing below 1.3e154; got {', '.join(map(repr, sums))}")
         if self.U <= 0.0:
             raise DomainError("U must be positive")
-        slack = 1e-12 * (1.0 + abs(self.U) + abs(self.V) + abs(self.W)
-                         + abs(self.F) + abs(self.G) + abs(self.H)) ** 2
+        slack = 1e-12 * (scale * scale)
         if self.F < -slack:
             raise DomainError("F must be non-negative")
         # The 2x2 principal minors of the Gram matrix [[U, V, G], [V, W, H], [G, H, F]]
         # of the rows (1, h, f) in the c^-2 metric, over the rows present.
         minors = (("U", "F", "G"),) + (("U", "W", "V"), ("W", "F", "H")) * self.has_h
         for a, b, g in minors:
-            if getattr(self, a) * getattr(self, b) - getattr(self, g) ** 2 < -slack:
+            if getattr(self, a) * getattr(self, b) - getattr(self, g) * getattr(self, g) < -slack:
                 raise DomainError(f"Cauchy-Schwarz violated: {a}{b} < {g}^2")
 
 
@@ -173,18 +170,20 @@ def constants(coeffs):
     """The six sums as the Gram matrix of the rows (1, h, f) in the c^-2 metric.
 
     One product ``(rows / c^2) @ rows.T``; a missing h is a zero row, so V, W
-    and H are exactly 0.
+    and H are exactly 0.  A sum that overflows is rejected by ``StepConstants``
+    with a ``DomainError``, so numpy does not also warn of it.
     """
     has_h = coeffs.h is not None
     h = coeffs.h if has_h else np.zeros_like(coeffs.f)
     rows = np.array((np.ones_like(coeffs.f), h, coeffs.f))
-    (U, V, G), (_, W, H), (_, _, F) = ((rows / (coeffs.c * coeffs.c)) @ rows.T).tolist()
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        (U, V, G), (_, W, H), (_, _, F) = ((rows / (coeffs.c * coeffs.c)) @ rows.T).tolist()
     return StepConstants(F=F, G=G, H=H, U=U, V=V, W=W, has_h=has_h)
 
 
 @dataclass(frozen=True)
 class PathParams:
-    """Per-unit-cost rates of the revenue and second constraints."""
+    """Per-unit-cost rates of the two constraints; as ``FixedKappas``, those of every step."""
 
     kappa1: float = 0.0
     kappa2: float = 0.0
@@ -199,11 +198,6 @@ class StepSolution:
     a0: float
     a2: float
     Q: float
-
-
-def _rows(mode):
-    """Active constraint rows: 0 is the revenue row (gradient 1), 1 the second (h)."""
-    return tuple(r for r, on in enumerate((mode.has_revenue, mode.has_second)) if on)
 
 
 def _restrict(pair, rows):
@@ -256,8 +250,7 @@ def _project(consts, rows):
     return _Projection(adjugate=adjugate, det=det, lam=lam, a0=consts.F - _dot(b, lam))
 
 
-@dataclass(frozen=True)
-class _Branch:
+class _Branch(NamedTuple):
     """The step's multiplier problem a2 q^2 + a0 = 0 over the active rows.
 
     lam = M^-1 b and mu = M^-1 kappa weight the rows: y = (P/q + R)/c^2 with
@@ -270,36 +263,26 @@ class _Branch:
     a0: float
     a2: float
     linear_q: float
-    P: np.ndarray = None  # set by direction_parts, which has the coefficient vectors
+    P: np.ndarray = None  # None in step_rate, which has no coefficient vectors
     R: np.ndarray = None
-
-
-def _branch(consts, mode, params):
-    rows = _rows(mode)
-    proj = _project(consts, rows)
-    kappa = _restrict((params.kappa1, params.kappa2), rows)
-    mu = _solve(proj.adjugate, proj.det, kappa)
-    return _Branch(lam=proj.lam, mu=mu, a0=max(proj.a0, 0.0),
-                   a2=_dot(kappa, mu) - 1.0, linear_q=_dot(proj.lam, kappa))
-
-
-def _require_second(consts, coeffs, mode):
-    if mode.has_second and (coeffs.h is None or not consts.has_h):
-        raise ConfigError(f"constraint mode {mode.variant.value} needs an h row")
 
 
 def direction_parts(consts, coeffs, mode, params):
     """Branch coefficients of the direction as a function of the multiplier q."""
-    _require_second(consts, coeffs, mode)
-    branch = _branch(consts, mode, params)
-    P = coeffs.f - branch.lam[0]
-    R = np.full_like(coeffs.f, branch.mu[0])
+    if mode.has_second and (coeffs.h is None or not consts.has_h):
+        raise ConfigError(f"constraint mode {mode.variant.value} needs an h row")
+    proj = _project(consts, mode.rows)
+    kappa = _restrict((params.kappa1, params.kappa2), mode.rows)
+    mu = _solve(proj.adjugate, proj.det, kappa)
+    P = coeffs.f - proj.lam[0]
+    R = np.full_like(coeffs.f, mu[0])
     if mode.has_second:
-        P -= branch.lam[1] * coeffs.h
-        R += branch.mu[1] * coeffs.h
+        P -= proj.lam[1] * coeffs.h
+        R += mu[1] * coeffs.h
     # a0 is the squared norm of P.  Summed from P itself it keeps the unit cost
     # exact where F - b.lam would cancel to a few digits (a0 << F).
-    return replace(branch, P=P, R=R, a0=float((P * P / (coeffs.c * coeffs.c)).sum()))
+    return _Branch(lam=proj.lam, mu=mu, a0=float((P * P / (coeffs.c * coeffs.c)).sum()),
+                   a2=_dot(kappa, mu) - 1.0, linear_q=_dot(proj.lam, kappa), P=P, R=R)
 
 
 def _rate(branch, consts, mode, maximize):
@@ -319,7 +302,12 @@ def _rate(branch, consts, mode, maximize):
 
 def step_rate(consts, mode, params, maximize):
     """Multiplier q and objective rate Q of one step, from the constants alone."""
-    return _rate(_branch(consts, mode, params), consts, mode, maximize)
+    proj = _project(consts, mode.rows)
+    kappa = _restrict((params.kappa1, params.kappa2), mode.rows)
+    mu = _solve(proj.adjugate, proj.det, kappa)
+    branch = _Branch(lam=proj.lam, mu=mu, a0=max(proj.a0, 0.0),
+                     a2=_dot(kappa, mu) - 1.0, linear_q=_dot(proj.lam, kappa))
+    return _rate(branch, consts, mode, maximize)
 
 
 def solve_step(consts, coeffs, mode, params, maximize):
@@ -356,7 +344,7 @@ def extremum_kappas(consts, mode, fixed_revenue, fixed_second, maximize):
     takes the optimization sign when some rate is free.  Raises
     DegenerateProblemError wherever the step at these rates is degenerate.
     """
-    rows = _rows(mode)
+    rows = mode.rows
     fixed = tuple(r for r in rows if (fixed_revenue, fixed_second)[r])
     free = tuple(r for r in rows if r not in fixed)
     if _project(consts, rows).a0 <= _GRADIENT_TOL * max(consts.F, 0.0):

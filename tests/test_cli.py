@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -198,9 +199,72 @@ class TestBadValues:
         assert "Traceback" not in proc.stderr
 
 
+class TestRunLimits:
+    """Run inputs that overflow a step, or ask for more steps than a run can
+    hold, end in exit 1 with a typed error, never a traceback or a hang."""
+
+    def optimize_with(self, tmp_path, **keys):
+        scen = tmp_path / "g.csv"
+        assert main(["gen", "--seed", "1", "--groups", "4", "--scenarios", "50",
+                     "--out", str(scen)]) == EXIT_OK
+        settings = {"scenarios": scen, "objective": "min_risk", "mode": "revenue_only",
+                    "beta": "0.9", "delta_c": "1e-3", "total_cost": "0.01",
+                    "returns": "0.05", "output": tmp_path / "path.csv"} | keys
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+        return run_cli("optimize", "--config", str(cfg))
+
+    @pytest.mark.parametrize("keys", [
+        dict(objective="max_return", mode="none", returns="1e200"),
+        dict(objective="min_risk", mode="revenue_only", returns="1e308"),
+        dict(costs="1e-300"),
+    ])
+    def test_overflowing_step_constants(self, tmp_path, keys):
+        proc = self.optimize_with(tmp_path, **keys)
+        assert proc.returncode == EXIT_DOMAIN
+        assert "error_code=domain step constants U, V, W, F, G, H must be finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("max_steps", "-5", "max_steps must be non-negative, got -5"),
+        ("steady_window", "0", "steady_state_window must be at least 1, got 0"),
+        ("steady_window", "-3", "steady_state_window must be at least 1, got -3"),
+        ("kappa1", "nan", "kappa1 must be finite, got nan"),
+        ("kappa1", "inf", "kappa1 must be finite, got inf"),
+        ("kappa2", "-inf", "kappa2 must be finite, got -inf"),
+    ])
+    def test_config_limits(self, tmp_path, key, value, message):
+        proc = self.optimize_with(tmp_path, **{key: value})
+        assert proc.returncode == EXIT_DOMAIN
+        assert f"error_code=config {message}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_tiny_step_without_steady_state_ends_at_once(self, tmp_path):
+        start = time.perf_counter()
+        proc = self.optimize_with(tmp_path, delta_c="1e-300", steady_tol="0")
+        assert time.perf_counter() - start < 10.0
+        assert proc.returncode == EXIT_DOMAIN
+        assert "error_code=config delta_c 1e-300 asks for 1e+298 steps" in proc.stderr
+        assert "max_steps" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_gen_overflow_is_a_config_error(self, tmp_path):
+        proc = run_cli("gen", "--seed", "1", "--groups", "4", "--scenarios", "50",
+                       "--base", "1e308", "--scale", "10", "--out", str(tmp_path / "g.csv"))
+        assert proc.returncode == EXIT_DOMAIN
+        # one line: no RuntimeWarning and no traceback before it
+        assert proc.stderr.splitlines() == [
+            "error_code=config loss_scale 10.0 and base_value 1e+308 give non-finite "
+            "scenario values"]
+
+
 BAD_TOKENS = ("nan", "inf", "-Infinity", "1e400", "", "abc", "-0.5", "1.5")
+# Values that parse and are finite but overflow a step, underflow a square,
+# or lie outside a count's range.
+EXTREME_TOKENS = ("1e200", "1e-300", "-5", "0")
 GOOD_CONFIG = {"objective": "min_risk", "mode": "revenue_only", "beta": "0.9",
                "delta_c": "0.01", "total_cost": "0.05", "returns": "0.05"}
+RUN_KEYS = sorted(GOOD_CONFIG) + ["costs", "kappa1", "kappa2", "max_steps", "steady_window"]
 
 
 def write_good_config(directory, scenarios):
@@ -244,11 +308,34 @@ def with_inserted_lines(draw, lines, fillers):
 
 @st.composite
 def run_configs(draw):
-    """The valid config above with up to two values replaced by bad tokens."""
+    """The valid config above with up to two values, its own or optional ones,
+    replaced by bad or extreme tokens."""
     config = dict(GOOD_CONFIG)
-    for key in draw(st.sets(st.sampled_from(sorted(config)), max_size=2)):
-        config[key] = draw(st.sampled_from(BAD_TOKENS))
+    for key in draw(st.sets(st.sampled_from(RUN_KEYS), max_size=2)):
+        config[key] = draw(st.sampled_from(BAD_TOKENS + EXTREME_TOKENS))
     return config
+
+
+GEN_BASELINE = {"--seed": "3", "--groups": "4", "--rho": "0.3", "--tail": "0.5",
+                "--scale": "0.1", "--base": "100"}
+GEN_VALUES = {
+    "--seed": ("3", "-1"),
+    "--groups": ("0", "1", "2", "4", "6", "-2", "abc"),
+    "--block-size": ("0", "-1", "1", "2", "3", "abc"),
+    "--rho": ("0", "0.3", "0.99", "1", "-0.1", "nan", "inf", "abc"),
+    "--tail": ("0.5", "2", "0", "-1", "nan", "inf", "19", "30", "100", "1e308", "abc"),
+    "--scale": ("0.1", "2", "0", "-1", "nan", "inf", "-inf", "1e308", "abc"),
+    "--base": ("100", "1", "0", "-5", "nan", "inf", "-inf", "1e308", "abc"),
+}
+
+
+@st.composite
+def gen_options(draw):
+    """``gen`` options: the valid baseline above with one option replaced."""
+    options = dict(GEN_BASELINE)
+    option = draw(st.sampled_from(sorted(GEN_VALUES)))
+    options[option] = draw(st.sampled_from(GEN_VALUES[option]))
+    return [token for pair in options.items() for token in pair]
 
 
 def assert_lines_within(stderr, text):
@@ -285,19 +372,36 @@ class TestCliFuzz:
                              "--returns", config["returns"]]) in exits
             assert_lines_within(stderr.getvalue(), scenarios)
 
-    @given(seed=st.sampled_from(("3", "-1")),
-           groups=st.sampled_from(("0", "1", "2", "4", "6", "-2", "abc")),
-           block_size=st.sampled_from((None, "0", "-1", "1", "2", "3", "abc")),
-           rho=st.sampled_from(("0", "0.3", "0.99", "1", "-0.1", "nan", "inf", "abc")),
-           tail=st.sampled_from(("0.5", "2", "0", "-1", "nan", "inf", "19", "30", "100",
-                                 "1e308", "abc")),
-           scale=st.sampled_from(("0.1", "2", "0", "-1", "nan", "inf", "-inf", "abc")),
-           base=st.sampled_from(("100", "1", "0", "-5", "nan", "inf", "-inf", "abc")),
+    def test_each_config_value_alone(self, tmp_path):
+        """Each key the run fuzz perturbs, set alone to each token it draws, on a
+        valid file: exit 0 or 1, never an exception.  60 random examples of two
+        faults in two files rarely reach a given pair; this sweep reaches all."""
+        scen = tmp_path / "g.csv"
+        assert main(["gen", "--seed", "1", "--groups", "4", "--scenarios", "50",
+                     "--out", str(scen)]) == EXIT_OK
+        cfg = tmp_path / "run.cfg"
+        escaped = []
+        for key in RUN_KEYS:
+            for token in BAD_TOKENS + EXTREME_TOKENS:
+                settings = GOOD_CONFIG | {key: token, "scenarios": scen,
+                                          "output": tmp_path / "path.csv"}
+                cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+                try:
+                    with contextlib.redirect_stdout(io.StringIO()), \
+                            contextlib.redirect_stderr(io.StringIO()):
+                        code = main(["optimize", "--config", str(cfg)])
+                except Exception as exc:  # any escape is the finding
+                    escaped.append((key, token, repr(exc)))
+                    continue
+                if code not in (EXIT_OK, EXIT_DOMAIN):
+                    escaped.append((key, token, f"exit {code}"))
+        assert escaped == []
+
+    @given(options=gen_options(),
            deltas=st.lists(st.sampled_from(("1e-2", "5e-3", "2e-3", "1e-3", "0", "-1e-3",
                                             "nan", "inf", "abc", "")), max_size=4))
     @settings(max_examples=60, deadline=None)
-    def test_gen_and_convergence_exit_code_only(self, seed, groups, block_size, rho, tail,
-                                                 scale, base, deltas):
+    def test_gen_and_convergence_exit_code_only(self, options, deltas):
         """``gen`` argv, then ``convergence --deltas`` on its file (or a good one).
         ``gen`` reads no data, so a bad option is never a data error."""
         exits = (EXIT_OK, EXIT_DOMAIN, EXIT_USAGE)
@@ -306,10 +410,7 @@ class TestCliFuzz:
                 contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(stderr):
             scen = Path(tmp) / "scen.csv"
-            argv = ["gen", "--seed", seed, "--groups", groups, "--scenarios", "20",
-                    "--rho", rho, "--tail", tail, "--scale", scale, "--base", base,
-                    "--out", str(scen)]
-            code = main(argv + ["--block-size", block_size] * (block_size is not None))
+            code = main(["gen", *options, "--scenarios", "20", "--out", str(scen)])
             assert code in exits
             assert "error_code=data" not in stderr.getvalue()
             if code != EXIT_OK:  # the sweep below still needs a scenario file

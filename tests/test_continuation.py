@@ -17,6 +17,7 @@ from cvarpath import (
     ExtremumAutopilot,
     FixedKappas,
     ObjectiveKind,
+    PathParams,
     PortfolioError,
     PortfolioState,
     ScenarioMatrix,
@@ -329,6 +330,48 @@ class TestTermination:
         cfg = ContinuationConfig(objective=ObjectiveKind.MIN_RISK, mode=REV, delta_c=1e-320,
                                  total_cost=0.0)
         assert cfg.n_steps == 0
+
+    @pytest.mark.parametrize("value", (float("nan"), float("inf"), -float("inf")))
+    @pytest.mark.parametrize("name", ("kappa1", "kappa2"))
+    def test_non_finite_fixed_rates_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            ContinuationConfig(objective=ObjectiveKind.MIN_RISK, mode=REV,
+                               kappa_policy=FixedKappas(**{name: value}))
+
+    def test_negative_max_steps_rejected(self):
+        with pytest.raises(ConfigError, match="max_steps must be non-negative, got -5"):
+            ContinuationConfig(objective=ObjectiveKind.MIN_RISK, mode=REV, max_steps=-5)
+        cfg = ContinuationConfig(objective=ObjectiveKind.MIN_RISK, mode=REV, max_steps=0)
+        assert cfg.n_steps == 0
+
+    @pytest.mark.parametrize("window", (0, -3))
+    def test_steady_window_below_one_rejected(self, window):
+        with pytest.raises(ConfigError, match="steady_state_window must be at least 1"):
+            ContinuationConfig(objective=ObjectiveKind.MIN_RISK, mode=REV,
+                               steady_state_window=window)
+
+    def test_step_count_ceiling(self):
+        """At most 10^6 steps, counted after max_steps; the error names both keys."""
+        cfg = ContinuationConfig(objective=ObjectiveKind.MIN_RISK, mode=REV, delta_c=1e-6,
+                                 total_cost=1.0)
+        assert cfg.n_steps == 10**6
+        for delta_c in (1e-300, 0.999e-6):
+            with pytest.raises(ConfigError, match=r"delta_c .* raise delta_c or set max_steps"):
+                ContinuationConfig(objective=ObjectiveKind.MIN_RISK, mode=REV,
+                                   delta_c=delta_c, total_cost=1.0, steady_state_tol=0.0)
+        cfg = ContinuationConfig(objective=ObjectiveKind.MIN_RISK, mode=REV, delta_c=1e-300,
+                                 total_cost=1.0, max_steps=10)
+        assert cfg.n_steps == 10
+
+    def test_fixed_kappas_are_the_path_params(self):
+        """One rates type: a fixed policy is the step's rates, recorded as they are."""
+        assert FixedKappas is PathParams
+        matrix, state = small_portfolio()
+        cfg = ContinuationConfig(objective=ObjectiveKind.MIN_RISK, mode=REV,
+                                 kappa_policy=FixedKappas(kappa1=-0.5), beta=0.9,
+                                 delta_c=1e-3, total_cost=0.003)
+        res = run(matrix, state, cfg)
+        assert [(r.kappa1, r.kappa2) for r in res.records] == [(0.0, 0.0)] + [(-0.5, 0.0)] * 3
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

@@ -1,5 +1,6 @@
 """Scenario files, run configs, the generator, and the path table."""
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -222,6 +223,15 @@ class TestGenerator:
         centered = losses - losses.mean()
         skew = float((centered ** 3).mean() / (centered ** 2).mean() ** 1.5)
         assert skew > 0.5
+
+    def test_overflowing_table_is_a_config_error(self):
+        """Each option is finite and positive, but base / N * loss_scale overflows."""
+        spec = GeneratorSpec(seed=1, n_groups=4, n_scenarios=50, loss_scale=10.0,
+                             base_value=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="loss_scale 10.0 and base_value 1e[+]308"):
+                generate(spec)
 
     def test_spec_validation(self):
         with pytest.raises(ConfigError):

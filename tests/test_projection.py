@@ -1,5 +1,6 @@
 """Closed-form single steps: feasibility, optimality, multipliers, extrema."""
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -217,6 +218,31 @@ class TestErrors:
     def test_h_minors_unchecked_without_h(self):
         StepConstants(F=1.0, G=0.0, H=2.0, U=1.0, V=2.0, W=0.0, has_h=False)
 
+    @pytest.mark.parametrize("value", (float("nan"), float("inf"), -float("inf")))
+    @pytest.mark.parametrize("name", ("F", "G", "H", "U", "V", "W"))
+    def test_non_finite_sum_rejected(self, name, value):
+        sums = dict(F=1.0, G=0.0, H=0.0, U=1.0, V=0.0, W=1.0, has_h=True) | {name: value}
+        with pytest.raises(DomainError, match="must be finite"):
+            StepConstants(**sums)
+
+    @pytest.mark.parametrize("sums", [
+        dict(U=1e200, F=1e-200, G=0.0),  # the check slack, 1e-12 (1 + sum)^2, overflows
+        dict(U=1e155, F=1e155, G=1e155),  # UF and G^2 overflow
+    ])
+    def test_sums_too_large_to_check_rejected(self, sums):
+        """Finite sums whose squares overflow end in DomainError, not OverflowError."""
+        with pytest.raises(DomainError, match="summing below 1.3e154"):
+            StepConstants(H=0.0, V=0.0, W=0.0, has_h=False, **sums)
+
+    @pytest.mark.parametrize("f,c", [(1e200, 1.0), (1.0, 1e-300)])
+    def test_overflowing_sums_rejected_without_a_warning(self, f, c):
+        """f^2 overflows, or c^2 underflows to 0: the Gram sums are not finite."""
+        coeffs = Coefficients(f=np.full(3, f), h=np.arange(3.0), c=np.full(3, c))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="must be finite"):
+                constants(coeffs)
+
 
 class TestModeValidation:
     def test_rejected_pairings(self):
@@ -232,6 +258,10 @@ class TestModeValidation:
         validate_mode(ObjectiveKind.MIN_RISK, ConstraintMode(ConstraintVariant.BOTH, "return"))
         validate_mode(ObjectiveKind.MAX_RETURN, ConstraintMode(ConstraintVariant.BOTH, "risk"))
         validate_mode(ObjectiveKind.MAX_RETURN_TO_RISK, REV)
+
+    def test_active_rows(self):
+        """Each mode's constraint rows, fixed when the mode is built."""
+        assert [ConstraintMode(v).rows for v in ALL_VARIANTS] == [(0, 1), (0,), (1,), ()]
 
     def test_return_to_risk_switches_rows(self):
         row, maximize = effective_problem(ObjectiveKind.MAX_RETURN_TO_RISK,
