@@ -10,7 +10,7 @@ from .continuation import convergence_study, run
 from .data import (GeneratorSpec, generate, parse_run_config, parse_vector,
                    read_scenario_file, write_path, write_scenarios)
 from .errors import ConfigError, DataError, PortfolioError
-from .risk import build_losses, initial_state, report
+from .risk import build_losses, check_costs, check_returns, initial_state, report
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -63,11 +63,18 @@ def _build_parser():
 
 
 def _initial_state(matrix, returns, costs=None):
-    """The starting state; a per-group vector of the wrong length is a config error."""
+    """The starting state.  A returns or costs value that the state would
+    reject, a vector of the wrong length included, is a config error naming its key."""
     n = matrix.n_groups
     for key, value in (("returns", returns), ("costs", costs)):
         if np.ndim(value) and len(value) != n:
             raise ConfigError(f"{key} has {len(value)} entries, expected {n}")
+    try:
+        check_returns(np.atleast_1d(returns), float(matrix.initial_values.sum()), "returns")
+        if costs is not None:
+            check_costs(np.atleast_1d(costs), "costs")
+    except DataError as exc:
+        raise ConfigError(str(exc)) from None
     return initial_state(matrix, returns, costs)
 
 

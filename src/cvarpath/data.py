@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,11 +40,13 @@ class ScenarioFile:
 
 def write_scenarios(matrix, path):
     """Serialize with 17 significant digits so a re-read is bit-identical."""
+    # "%.17g" % x gives the digits of f"{x:.17g}"; one format per row
+    row_format = ",".join(["%.17g"] * (matrix.n_groups + 1)) + "\n"
     with open(path, "w") as handle:
         handle.write("group,prob," + ",".join(matrix.group_ids) + "\n")
         handle.write("initial," + ",".join(map(_fmt, matrix.initial_values)) + "\n")
-        for p, row in zip(matrix.probabilities, matrix.values):
-            handle.write(_fmt(p) + "," + ",".join(map(_fmt, row)) + "\n")
+        for p, row in zip(matrix.probabilities.tolist(), matrix.values.tolist()):
+            handle.write(row_format % (p, *row))
 
 
 def _parse_float(token, line_no, what):
@@ -68,75 +71,151 @@ def _lines(handle, need=0, comment=None):
                         line=number + 1)
 
 
+def _scenario_head(handle):
+    """The header and the initial row of an open scenario file.
+
+    Returns the line iterator, left at the first scenario row, the header's
+    line number, the group ids, whether the file has a ``prob`` column, and
+    the initial values.
+    """
+    lines = _lines(handle, need=3)
+    header_no, header = next(lines)
+    cells = [c.strip() for c in header.split(",")]
+    if cells[0] != "group":
+        raise DataError("header must start with 'group'", line=header_no)
+    has_prob = len(cells) > 1 and cells[1] == "prob"
+    group_ids = cells[2:] if has_prob else cells[1:]
+    n = len(group_ids)
+    if n < 2:
+        raise DataError("need at least 2 group columns", line=header_no)
+
+    init_no, init_line = next(lines)
+    init_cells = [c.strip() for c in init_line.split(",")]
+    if init_cells[0] != "initial":
+        raise DataError("second row must start with 'initial'", line=init_no)
+    if len(init_cells) != n + 1:
+        raise DataError(f"initial row has {len(init_cells) - 1} values, expected {n}",
+                        line=init_no)
+    initial = np.array([_parse_float(c, init_no, "initial value") for c in init_cells[1:]])
+    if not np.all(np.isfinite(initial)):
+        raise DataError("initial values must all be finite", line=init_no)
+    if np.any(initial <= 0.0):
+        raise DataError("all initial group values must be strictly positive", line=init_no)
+    return lines, header_no, group_ids, has_prob, initial
+
+
+def _in_band(total):
+    return _NORMALIZE_BAND[0] <= total <= _NORMALIZE_BAND[1]
+
+
+def _columns(table, has_prob):
+    """(values, probabilities) of a table of scenario rows.  The values are a
+    view, so the table is never copied; probabilities are None without a
+    ``prob`` column."""
+    if not has_prob:
+        return table, None
+    return table[:, 1:], table[:, 0].copy()
+
+
+def _scenario_file(path, header_no, group_ids, initial, values, probabilities):
+    """The parsed file from checked rows.  ``probabilities`` is None for a file
+    without a ``prob`` column; a sum off 1 inside the band is normalised here."""
+    k = len(values)
+    has_prob = probabilities is not None
+    normalized = False
+    if has_prob:
+        total = float(probabilities.sum())
+        normalized = abs(total - 1.0) > 1e-12
+        if normalized:
+            probabilities = probabilities / total
+    else:
+        probabilities = np.full(k, 1.0 / k)
+    try:
+        matrix = ScenarioMatrix(initial_values=initial, values=values,
+                                probabilities=probabilities, group_ids=tuple(group_ids))
+    except DataError as exc:
+        raise DataError(str(exc), line=header_no) from None
+    return ScenarioFile(path=str(path), matrix=matrix, n_rows=k, n_groups=len(group_ids),
+                        has_probabilities=has_prob, normalized=normalized)
+
+
+def _table_rows(handle, has_prob, n):
+    """(values, probabilities) of the rest of ``handle`` by numpy's C text
+    reader, or None if any row needs the exact loop of `_read_exactly`.
+
+    The reader strips each field and converts it with ``PyOS_string_to_double``,
+    the routine ``float()`` ends in, but rejects ``_`` and non-ASCII digits:
+    its grammar is a strict subset of ``float()``'s, and each value it returns
+    is ``float()``'s bit for bit.  None also covers every row check that
+    `_read_exactly` would fail, since only that loop knows each row's line.
+    """
+    try:
+        with warnings.catch_warnings():  # an empty remainder is the loop's error to report
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            table = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    # min and max propagate NaN
+    if (not len(table) or table.shape[1] != has_prob + n
+            or not (np.isfinite(table.min()) and np.isfinite(table.max()))):
+        return None
+    values, probabilities = _columns(table, has_prob)
+    if has_prob and not ((probabilities > 0.0).all()
+                         and _in_band(float(probabilities.sum()))):
+        return None
+    return values, probabilities
+
+
 def read_scenario_file(path):
-    """Parse a scenario file in one pass; every rejection names its physical line."""
+    """Parse a scenario file; every rejection names its physical line.
+
+    The scenario rows go through numpy's C text reader (`_table_rows`) in the
+    same pass as the header.  A file it cannot take whole is read again by
+    `_read_exactly`, whose ``float()`` loop raises every row error and names
+    its line.
+    """
     with open(path) as handle:
-        lines = _lines(handle, need=3)
-        header_no, header = next(lines)
-        cells = [c.strip() for c in header.split(",")]
-        if cells[0] != "group":
-            raise DataError("header must start with 'group'", line=header_no)
-        has_prob = len(cells) > 1 and cells[1] == "prob"
-        group_ids = cells[2:] if has_prob else cells[1:]
-        n = len(group_ids)
-        if n < 2:
-            raise DataError("need at least 2 group columns", line=header_no)
+        _, header_no, group_ids, has_prob, initial = _scenario_head(handle)
+        rows = _table_rows(handle, has_prob, len(group_ids))
+    if rows is None:
+        return _read_exactly(path)
+    return _scenario_file(path, header_no, group_ids, initial, *rows)
 
-        init_no, init_line = next(lines)
-        init_cells = [c.strip() for c in init_line.split(",")]
-        if init_cells[0] != "initial":
-            raise DataError("second row must start with 'initial'", line=init_no)
-        if len(init_cells) != n + 1:
-            raise DataError(f"initial row has {len(init_cells) - 1} values, expected {n}",
-                            line=init_no)
-        initial = np.array([_parse_float(c, init_no, "initial value") for c in init_cells[1:]])
-        if not np.all(np.isfinite(initial)):
-            raise DataError("initial values must all be finite", line=init_no)
-        if np.any(initial <= 0.0):
-            raise DataError("all initial group values must be strictly positive", line=init_no)
 
-        kinds = ["probability"] * has_prob + ["scenario value"] * n  # one per row cell
-        rows, probs = [], []  # rows: (physical line number, values)
+def _read_exactly(path):
+    """`read_scenario_file` by a loop over the rows with ``float()`` semantics:
+    the fallback for what numpy's reader rejects, and the tests' reference."""
+    with open(path) as handle:
+        lines, header_no, group_ids, has_prob, initial = _scenario_head(handle)
+        kinds = ["probability"] * has_prob + ["scenario value"] * len(group_ids)
+        rows = []  # (physical line number, the row's cells as floats)
         for line_no, line in lines:
             cells = [c.strip() for c in line.split(",")]
-            if len(cells) != len(kinds) or any(c == "" for c in cells):
+            if len(cells) != len(kinds):
                 raise DataError(f"scenario row has {len(cells)} cells, expected {len(kinds)}",
                                 line=line_no)
+            if "" in cells:
+                raise DataError(f"scenario row has {len(cells)} cells, "
+                                f"cell {cells.index('') + 1} is empty", line=line_no)
             try:
                 # One conversion per row: a float object per cell would fragment
                 # the heap on wide files.
                 row = np.array(cells, dtype=float)
             except ValueError:
                 row = [_parse_float(c, line_no, kind) for c, kind in zip(cells, kinds)]
-            if has_prob:
-                p = row[0]
-                if p <= 0.0:
-                    raise DataError(f"nonpositive probability {float(p)!r}", line=line_no)
-                probs.append(p)
-                row = row[1:]
+            if has_prob and row[0] <= 0.0:
+                raise DataError(f"nonpositive probability {float(row[0])!r}", line=line_no)
             rows.append((line_no, row))
-    values = np.array([row for _, row in rows], dtype=float)
-    k = len(rows)
-    probabilities = np.array(probs, dtype=float) if has_prob else np.full(k, 1.0 / k)
+    table = np.array([row for _, row in rows], dtype=float)
     # checked once after the hot loop above; min and max propagate NaN
-    bad = ~(np.isfinite(values.min(axis=1)) & np.isfinite(values.max(axis=1))
-            & np.isfinite(probabilities))
+    bad = ~(np.isfinite(table.min(axis=1)) & np.isfinite(table.max(axis=1)))
     if bad.any():
         raise DataError("scenario cells must all be finite", line=rows[int(np.argmax(bad))][0])
-    total = float(probabilities.sum())
-    normalized = has_prob and abs(total - 1.0) > 1e-12
-    if normalized:
-        if not _NORMALIZE_BAND[0] <= total <= _NORMALIZE_BAND[1]:
-            raise DataError(f"probabilities sum to {total!r}, outside the "
-                            f"normalization band {_NORMALIZE_BAND}", line=rows[0][0])
-        probabilities = probabilities / total
-    try:
-        matrix = ScenarioMatrix(initial_values=initial, values=values,
-                                probabilities=probabilities, group_ids=tuple(group_ids))
-    except DataError as exc:
-        raise DataError(str(exc), line=header_no) from None
-    return ScenarioFile(path=str(path), matrix=matrix, n_rows=k, n_groups=n,
-                        has_probabilities=has_prob, normalized=normalized)
+    values, probabilities = _columns(table, has_prob)
+    if has_prob and not _in_band(float(probabilities.sum())):
+        raise DataError(f"probabilities sum to {float(probabilities.sum())!r}, outside the "
+                        f"normalization band {_NORMALIZE_BAND}", line=rows[0][0])
+    return _scenario_file(path, header_no, group_ids, initial, values, probabilities)
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,10 @@ class ScenarioMatrix:
             raise DataError(f"probabilities must sum to 1 within {_PROB_TOL}, got {total!r}")
         if np.any(self.initial_values <= 0.0):
             raise DataError("all initial group values must be strictly positive")
+        with np.errstate(over="ignore"):
+            total_value = float(self.initial_values.sum())
+        if not math.isfinite(total_value):
+            raise DataError("initial_values must sum to a finite total")
         if n >= 2 and np.all(self.values == self.values[:, :1]):
             raise DataError("all scenario columns are identical")
         if not self.group_ids:
@@ -114,6 +118,34 @@ class LossTable:
             raise DataError("probabilities length does not match the number of loss rows")
 
 
+def check_returns(returns, base_value, name="returns"):
+    """Reject per-group returns that are not finite, or whose product with the
+    base value overflows: ``report`` prices each return at its group value."""
+    _finite(returns, name)
+    if not math.isfinite(float(np.abs(returns).max(initial=0.0)) * base_value):
+        raise DataError(f"{name} times the base value {base_value!r} must be finite")
+
+
+def check_costs(costs, name="cost_coefficients"):
+    """Reject adjustment-cost coefficients a step cannot use.
+
+    Each must be finite and positive, with c*c and 1/(c*c) finite and nonzero,
+    because the step constants sum over 1/c**2; the smallest must be at least
+    1e-6 of the largest.
+    """
+    _finite(costs, name)
+    if np.any(costs <= 0.0):
+        raise DataError(f"{name} must be strictly positive")
+    cmin, cmax = float(costs.min()), float(costs.max())
+    if not (cmin * cmin > 0.0 and math.isfinite(1.0 / (cmin * cmin))
+            and math.isfinite(cmax * cmax)):
+        raise DataError(f"{name} squared must be finite and nonzero, and so must its "
+                        f"reciprocal; got min {cmin!r}, max {cmax!r}")
+    if cmin / cmax < 1e-6:
+        raise DataError(f"{name} are not mutually comparable "
+                        f"(min/max ratio {cmin / cmax:.3e} < 1e-6)")
+
+
 @dataclass
 class PortfolioState:
     """Current allocation together with the data needed to re-price it.
@@ -141,26 +173,21 @@ class PortfolioState:
                           ("base_weights", self.base_weights)):
             if arr.shape != (n,):
                 raise DataError(f"{name} length does not match weights")
-        for name in ("weights", "returns", "cost_coefficients", "base_weights"):
-            _finite(getattr(self, name), name)
+        self.base_value = float(self.base_value)
+        _finite(self.weights, "weights")
+        check_returns(self.returns, self.base_value)
+        check_costs(self.cost_coefficients)
+        _finite(self.base_weights, "base_weights")
         if self.frozen is None:
             self.frozen = np.zeros(n, dtype=bool)
         else:
             self.frozen = np.asarray(self.frozen, dtype=bool)
             if self.frozen.shape != (n,):
                 raise DataError("frozen mask length does not match weights")
-        if np.any(self.cost_coefficients <= 0.0):
-            raise DataError("adjustment-cost coefficients must be strictly positive")
-        cmin = float(self.cost_coefficients.min())
-        cmax = float(self.cost_coefficients.max())
-        if cmin / cmax < 1e-6:
-            raise DataError("adjustment-cost coefficients are not mutually comparable "
-                            f"(min/max ratio {cmin / cmax:.3e} < 1e-6)")
         if np.any(self.base_weights == 0.0):
             raise DomainError("base weights must all be nonzero")
         if np.any((self.weights == 0.0) & ~self.frozen):
             raise DomainError("active weight components must be nonzero")
-        self.base_value = float(self.base_value)
 
     def with_weights(self, weights, frozen=None):
         """This state at new weights (and frozen mask), checking only what a step changes.

@@ -141,7 +141,7 @@ class TestBadValues:
     @pytest.mark.parametrize("key,value", [
         ("returns", "abc"), ("costs", "1,zz"), ("kappa1", "abc"), ("kappa2", "1e"),
         ("max_steps", "1.5"), ("beta", "nan"), ("delta_c", "nan"), ("total_cost", "inf"),
-        ("delta_c", "1e-320"),
+        ("delta_c", "1e-320"), ("returns", "nan"), ("costs", "nan"), ("costs", "0"),
     ])
     def test_optimize_config_error(self, tmp_path, key, value):
         proc = self.optimize_with(tmp_path, key, value)
@@ -216,14 +216,38 @@ class TestRunLimits:
 
     @pytest.mark.parametrize("keys", [
         dict(objective="max_return", mode="none", returns="1e200"),
-        dict(objective="min_risk", mode="revenue_only", returns="1e308"),
-        dict(costs="1e-300"),
+        dict(objective="min_risk", mode="revenue_only", returns="1e306"),
+        dict(costs="1e-150"),
     ])
     def test_overflowing_step_constants(self, tmp_path, keys):
         proc = self.optimize_with(tmp_path, **keys)
         assert proc.returncode == EXIT_DOMAIN
         assert "error_code=domain step constants U, V, W, F, G, H must be finite" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("costs", "1e-300", "costs squared must be finite and nonzero, and so must its "
+                            "reciprocal; got min 1e-300, max 1e-300"),
+        ("costs", "1e200", "costs squared must be finite and nonzero, and so must its "
+                           "reciprocal; got min 1e+200, max 1e+200"),
+        ("returns", "1e308", "returns times the base value 100.0 must be finite"),
+    ])
+    def test_returns_and_costs_out_of_float_range(self, tmp_path, key, value, message):
+        """Values that pass as numbers but overflow or underflow a step, or a
+        return priced at its group value; one line on stderr, no warning."""
+        proc = self.optimize_with(tmp_path, **{key: value})
+        assert proc.returncode == EXIT_DOMAIN
+        assert proc.stderr.splitlines() == [f"error_code=config {message}"]
+
+    def test_analyze_returns_overflowing_the_base_value(self, tmp_path):
+        scen = tmp_path / "g.csv"
+        assert main(["gen", "--seed", "1", "--groups", "4", "--scenarios", "50",
+                     "--out", str(scen)]) == EXIT_OK
+        proc = run_cli("analyze", "--scenarios", str(scen), "--beta", "0.9",
+                       "--returns", "1e308")
+        assert proc.returncode == EXIT_DOMAIN
+        assert proc.stderr.splitlines() == [
+            "error_code=config returns times the base value 100.0 must be finite"]
 
     @pytest.mark.parametrize("key,value,message", [
         ("max_steps", "-5", "max_steps must be non-negative, got -5"),

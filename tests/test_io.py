@@ -1,9 +1,13 @@
 """Scenario files, run configs, the generator, and the path table."""
+import sys
+import tempfile
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cvarpath import (
     ConfigError,
@@ -25,6 +29,7 @@ from cvarpath import (
     write_path,
     write_scenarios,
 )
+from cvarpath import data
 from conftest import random_matrix
 
 
@@ -79,7 +84,7 @@ class TestScenarioRoundTrip:
         ("0.5,oops,9", "cannot parse scenario value 'oops'"),
         ("0.5,9,abc", "cannot parse scenario value 'abc'"),
         ("abc,9,11", "cannot parse probability 'abc'"),
-        ("0.5,,9", "scenario row has 3 cells"),
+        ("0.5,,9", "scenario row has 3 cells, cell 2 is empty"),
         ("nan,9,11", "scenario cells must all be finite"),
         ("0.5,9,-inf", "scenario cells must all be finite"),
     ])
@@ -193,6 +198,138 @@ class TestScenarioRoundTrip:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * values.nbytes
+
+
+FLAGS = ("C_CONTIGUOUS", "F_CONTIGUOUS", "OWNDATA", "WRITEABLE", "ALIGNED")
+
+
+def assert_same_read(path):
+    """``read_scenario_file`` and the exact row loop give the same arrays, bit
+    for bit and with the same flags, or the same error type, message and line."""
+    def read(reader):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # neither path may print a warning
+            try:
+                return reader(path), None
+            except Exception as exc:  # the error is the outcome under comparison
+                return None, exc
+
+    got, got_exc = read(read_scenario_file)
+    want, want_exc = read(data._read_exactly)
+    if want_exc is not None or got_exc is not None:
+        assert type(got_exc) is type(want_exc)
+        assert str(got_exc) == str(want_exc)
+        assert getattr(got_exc, "line", None) == getattr(want_exc, "line", None)
+        return
+    assert (got.path, got.n_rows, got.n_groups, got.has_probabilities, got.normalized) == \
+        (want.path, want.n_rows, want.n_groups, want.has_probabilities, want.normalized)
+    assert got.matrix.group_ids == want.matrix.group_ids
+    for name in ("initial_values", "values", "probabilities"):
+        a, b = getattr(got.matrix, name), getattr(want.matrix, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+        assert [a.flags[f] for f in FLAGS] == [b.flags[f] for f in FLAGS], name
+
+
+# Cells float() reads but numpy's reader does not, cells neither reads, and
+# cells both read to a value a row check rejects.
+ODD_CELLS = ("1_000", "\u0661\u0662", "nan", "-inf", "Infinity", "1e400", "0x10", "abc",
+             "", " ", "1 2", "-0", "0", "-1")
+
+
+@st.composite
+def scenario_files(draw):
+    """Scenario file text: ``%.17g`` cells with blanks around them, odd cells,
+    rows of the wrong width, blank and whitespace-only lines, any line end,
+    and files with and without the ``prob`` column."""
+    n = draw(st.integers(2, 3))
+    k = draw(st.integers(0, 4))
+    has_prob = draw(st.booleans())
+    value = st.floats(-1e6, 1e6, allow_nan=False).map(lambda x: "%.17g" % x)
+    blank = st.sampled_from(("", " ", "\t", "\xa0"))
+
+    def cell(clean):
+        """``clean`` in most cells, else an odd one; blanks around either."""
+        core = clean if draw(st.integers(0, 4)) else st.sampled_from(ODD_CELLS)
+        return draw(blank) + draw(core) + draw(blank)
+
+    # probabilities in the band, off it, and summing to 1 with a row not positive
+    column = draw(st.sampled_from((["%.17g" % (1.0 / max(k, 1))] * k, ["0.7"] * k,
+                                   ["1"] + ["0"] * k)))
+    lines = ["group," + "prob," * has_prob + ",".join(f"g{i}" for i in range(n)),
+             "initial," + ",".join(["10"] * n)]
+    every_row_long = draw(st.integers(0, 9)) == 0  # a width off the header's
+    for i in range(k):
+        row = [cell(st.just(column[i]))] * has_prob + [cell(value) for _ in range(n)]
+        if every_row_long:
+            row.append("1")
+        elif draw(st.integers(0, 9)) == 0:  # one cell short or long
+            row = row[:-1] if draw(st.booleans()) else row + ["1"]
+        lines.append(",".join(row))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(("", "  ", "\t"))))
+    newline = draw(st.sampled_from(("\n", "\r\n", "\r")))
+    return newline.join(lines) + newline * draw(st.booleans())
+
+
+class TestFastReader:
+    @given(scenario_files())
+    @settings(max_examples=300, deadline=None)
+    def test_fast_reader_equals_the_row_loop(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "scen.csv"
+            path.write_bytes(text.encode())
+            assert_same_read(path)
+
+    @pytest.mark.parametrize("text", [
+        "group,prob,a,b\ninitial,10,10\n0.5, 9 ,11\n0.5,11,9\n",
+        "group,a,b\ninitial,10,10\n\n9,1_1\n11,9\n",
+        "group,prob,a,b\ninitial,10,10\n0.7,9,11\n0.7,11,9\n",
+        "group,prob,a,b\ninitial,10,10\n0,9,11\n1,11,9\n",
+        "group,a,b\ninitial,10,10\n9,11\n9,11,12\n",
+        "group,a,b,c\ninitial,10,10,10\n9,11\n9,11\n",
+        "group,a,b\ninitial,10,10\n9,9\n11,11\n",
+        "group,a,b\ninitial,10,10\n\n",
+    ])
+    def test_each_fallback_case(self, tmp_path, text):
+        """A width off the header, a cell only float() reads, probabilities off
+        the band or not positive, identical columns, and no scenario rows."""
+        path = tmp_path / "scen.csv"
+        path.write_text(text)
+        assert_same_read(path)
+
+    def test_clean_files_take_the_fast_path(self, tmp_path, monkeypatch):
+        """A silent fallback on a file the writer made, or on a clean file
+        without probabilities, would fail here."""
+        def no_fallback(path):
+            raise AssertionError(f"{path} fell back to the row loop")
+
+        monkeypatch.setattr(data, "_read_exactly", no_fallback)
+        written = tmp_path / "written.csv"
+        write_scenarios(generate(GeneratorSpec(seed=3, n_groups=6, n_scenarios=50)), written)
+        assert read_scenario_file(written).n_rows == 50
+        plain = tmp_path / "plain.csv"
+        plain.write_bytes(b"group,a,b\r\ninitial,10,10\r\n\r\n 9 ,11\r\n11,\t9\r\n")
+        assert read_scenario_file(plain).matrix.values.tolist() == [[9.0, 11.0], [11.0, 9.0]]
+
+    def test_writer_bytes_equal_per_cell_formatting(self, tmp_path):
+        """One %-format per row writes what f"{x:.17g}" per cell wrote."""
+        rng = np.random.default_rng(8)
+        values = rng.normal(10.0, 3.0, (20, 4)) * 10.0 ** rng.integers(-300, 300, (20, 4))
+        values[0, :3] = (-0.0, 5e-324, sys.float_info.max)
+        probabilities = rng.uniform(0.1, 1.0, 20)
+        probabilities /= probabilities.sum()
+        matrix = ScenarioMatrix(initial_values=[1.0, 2.5, 1e-300, 7.0], values=values,
+                                probabilities=probabilities)
+        path = tmp_path / "scen.csv"
+        write_scenarios(matrix, path)
+
+        def cells(xs):
+            return ",".join(f"{float(x):.17g}" for x in xs)
+
+        expected = "group,prob,g1,g2,g3,g4\ninitial," + cells(matrix.initial_values) + "\n"
+        expected += "".join(f"{float(p):.17g}," + cells(row) + "\n"
+                            for p, row in zip(probabilities, values))
+        assert path.read_bytes() == expected.encode()
 
 
 class TestGenerator:

@@ -1,5 +1,6 @@
 """VaR/CVaR, atom splitting, Euler allocation, and report invariants."""
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -475,6 +476,27 @@ class TestValidation:
         matrix = random_matrix(np.random.default_rng(2), n=3)
         with pytest.raises(DataError, match=f"^{name} must all be finite"):
             initial_state(matrix, returns, costs)
+
+    @pytest.mark.parametrize("returns,costs,message", [
+        (0.05, 0.0, "cost_coefficients must be strictly positive"),
+        (0.05, 1e-300, "cost_coefficients squared must be finite and nonzero"),  # c*c is 0
+        (0.05, 1e200, "cost_coefficients squared must be finite and nonzero"),  # 1/(c*c) is 0
+        (1e308, None, "returns times the base value .* must be finite"),
+    ])
+    def test_state_rejects_values_a_step_cannot_use(self, returns, costs, message):
+        matrix = random_matrix(np.random.default_rng(2), n=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=f"^{message}"):
+                initial_state(matrix, returns, costs)
+
+    def test_initial_values_must_sum_to_a_finite_total(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="^initial_values must sum to a finite total$"):
+                ScenarioMatrix(initial_values=[1e308, 1e308],
+                               values=[[0.5, 1.5], [1.5, 0.5]],
+                               probabilities=[0.5, 0.5])
 
     def test_rejects_identical_columns(self):
         with pytest.raises(DataError):
