@@ -4,7 +4,7 @@ projection steps chained along a cost-parameter continuation path."""
 from .continuation import (ContinuationConfig, ContinuationResult, ExtremumAutopilot,
                            FixedKappas, PathRecord, apply_step, convergence_study,
                            rescale_fixed_risk, run)
-from .data import (PATH_COLUMNS, GeneratorSpec, RunConfig, ScenarioFile, generate, parse_run_config,
+from .data import (PATH_COLUMNS, GeneratorSpec, RunConfig, generate, parse_run_config,
                    read_scenario_file, write_path, write_scenarios)
 from .errors import (ConfigError, DataError, DegenerateProblemError, DomainError,
                      InfeasibleStepError, PortfolioError)

@@ -79,7 +79,7 @@ def _initial_state(matrix, returns, costs=None):
 
 
 def _run_analyze(args):
-    matrix = read_scenario_file(args.scenarios).matrix
+    matrix = read_scenario_file(args.scenarios)
     state = _initial_state(matrix, parse_vector(args.returns, "--returns"))
     rep = report(build_losses(matrix), state, args.beta)
     print(f"beta={args.beta:.6g}")
@@ -98,7 +98,7 @@ def _run_analyze(args):
 
 
 def _states_from_config(cfg):
-    matrix = read_scenario_file(cfg.scenarios).matrix
+    matrix = read_scenario_file(cfg.scenarios)
     return matrix, _initial_state(matrix, cfg.returns, cfg.costs)
 
 

@@ -3,6 +3,7 @@ and the plottable path table."""
 from __future__ import annotations
 
 import math
+import re
 import sys
 import warnings
 from dataclasses import dataclass
@@ -15,6 +16,8 @@ from .projection import ConstraintMode, ConstraintVariant, ObjectiveKind
 from .risk import ScenarioMatrix
 
 _NORMALIZE_BAND = (0.999, 1.001)
+# The lone surrogates that errors="surrogateescape" decodes bytes 0x80-0xff into
+_UNDECODED = re.compile("[\udc80-\udcff]")
 # The largest tail whose lognormal standard deviation, sqrt(exp(2 tail^2)), is finite.
 _MAX_TAIL = math.sqrt(math.log(sys.float_info.max) / 2.0)
 
@@ -26,23 +29,11 @@ def _fmt(x):
     return f"{float(x):.17g}"
 
 
-@dataclass
-class ScenarioFile:
-    """A parsed scenario file plus its parse diagnostics."""
-
-    path: str
-    matrix: ScenarioMatrix
-    n_rows: int
-    n_groups: int
-    has_probabilities: bool
-    normalized: bool
-
-
 def write_scenarios(matrix, path):
     """Serialize with 17 significant digits so a re-read is bit-identical."""
     # "%.17g" % x gives the digits of f"{x:.17g}"; one format per row
     row_format = ",".join(["%.17g"] * (matrix.n_groups + 1)) + "\n"
-    with open(path, "w") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         handle.write("group,prob," + ",".join(matrix.group_ids) + "\n")
         handle.write("initial," + ",".join(map(_fmt, matrix.initial_values)) + "\n")
         for p, row in zip(matrix.probabilities.tolist(), matrix.values.tolist()):
@@ -56,14 +47,24 @@ def _parse_float(token, line_no, what):
         raise DataError(f"cannot parse {what} {token!r}", line=line_no) from None
 
 
-def _lines(handle, need=0, comment=None):
+def _lines(handle, need=0, comment=None, error=DataError):
     """(physical line number, stripped text) of each non-blank line of an open
     text file, read one line at a time and cut at ``comment``; lines end at \\n,
-    \\r or \\r\\n.  Fewer than ``need`` such lines fail at the line after the end."""
+    \\r or \\r\\n.  Fewer than ``need`` such lines fail at the line after the end.
+
+    The file is opened with ``errors="surrogateescape"``, so a byte that is not
+    UTF-8 reads as a lone surrogate: a kept line holding one raises ``error``
+    at that line, and one inside a cut comment is ignored with the comment.
+    """
     number = 0
     for number, raw in enumerate(handle, start=1):
         text = (raw.split(comment, 1)[0] if comment else raw).strip()
         if text:
+            # isascii() reads a flag of the string, so clean lines cost no scan
+            undecoded = None if text.isascii() else _UNDECODED.search(text)
+            if undecoded:
+                raise error(f"byte 0x{ord(undecoded[0]) - 0xDC00:02x} is not valid UTF-8",
+                            line=number)
             need -= 1
             yield number, text
     if need > 0:
@@ -104,88 +105,64 @@ def _scenario_head(handle):
     return lines, header_no, group_ids, has_prob, initial
 
 
-def _in_band(total):
-    return _NORMALIZE_BAND[0] <= total <= _NORMALIZE_BAND[1]
+def _scenario_matrix(table, header_no, group_ids, has_prob, initial, first_row_no=None):
+    """The checked matrix of a (K, N) table of scenario rows, or (K, N+1) with a
+    ``prob`` column.
 
-
-def _columns(table, has_prob):
-    """(values, probabilities) of a table of scenario rows.  The values are a
-    view, so the table is never copied; probabilities are None without a
-    ``prob`` column."""
-    if not has_prob:
-        return table, None
-    return table[:, 1:], table[:, 0].copy()
-
-
-def _scenario_file(path, header_no, group_ids, initial, values, probabilities):
-    """The parsed file from checked rows.  ``probabilities`` is None for a file
-    without a ``prob`` column; a sum off 1 inside the band is normalised here."""
-    k = len(values)
-    has_prob = probabilities is not None
-    normalized = False
+    Without that column each row gets 1/K.  With it, a sum inside the
+    normalisation band is normalised, and a sum outside it fails at
+    ``first_row_no``.  Every other table check is ``ScenarioMatrix``'s, and its
+    errors name the header's line.  The values are a view, so the table is never
+    copied.
+    """
     if has_prob:
-        total = float(probabilities.sum())
-        normalized = abs(total - 1.0) > 1e-12
-        if normalized:
+        values, probabilities = table[:, 1:], table[:, 0].copy()
+        with np.errstate(over="ignore"):  # an overflowing sum is outside the band
+            total = float(probabilities.sum())
+        if not _NORMALIZE_BAND[0] <= total <= _NORMALIZE_BAND[1]:
+            raise DataError(f"probabilities sum to {total!r}, outside the "
+                            f"normalization band {_NORMALIZE_BAND}", line=first_row_no)
+        if abs(total - 1.0) > 1e-12:
             probabilities = probabilities / total
+    elif len(table):
+        values, probabilities = table, np.full(len(table), 1.0 / len(table))
     else:
-        probabilities = np.full(k, 1.0 / k)
+        raise DataError("need at least 1 scenario row")
     try:
-        matrix = ScenarioMatrix(initial_values=initial, values=values,
-                                probabilities=probabilities, group_ids=tuple(group_ids))
+        return ScenarioMatrix(initial_values=initial, values=values,
+                              probabilities=probabilities, group_ids=tuple(group_ids))
     except DataError as exc:
         raise DataError(str(exc), line=header_no) from None
-    return ScenarioFile(path=str(path), matrix=matrix, n_rows=k, n_groups=len(group_ids),
-                        has_probabilities=has_prob, normalized=normalized)
-
-
-def _table_rows(handle, has_prob, n):
-    """(values, probabilities) of the rest of ``handle`` by numpy's C text
-    reader, or None if any row needs the exact loop of `_read_exactly`.
-
-    The reader strips each field and converts it with ``PyOS_string_to_double``,
-    the routine ``float()`` ends in, but rejects ``_`` and non-ASCII digits:
-    its grammar is a strict subset of ``float()``'s, and each value it returns
-    is ``float()``'s bit for bit.  None also covers every row check that
-    `_read_exactly` would fail, since only that loop knows each row's line.
-    """
-    try:
-        with warnings.catch_warnings():  # an empty remainder is the loop's error to report
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            table = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None
-    # min and max propagate NaN
-    if (not len(table) or table.shape[1] != has_prob + n
-            or not (np.isfinite(table.min()) and np.isfinite(table.max()))):
-        return None
-    values, probabilities = _columns(table, has_prob)
-    if has_prob and not ((probabilities > 0.0).all()
-                         and _in_band(float(probabilities.sum()))):
-        return None
-    return values, probabilities
 
 
 def read_scenario_file(path):
-    """Parse a scenario file; every rejection names its physical line.
+    """The checked ``ScenarioMatrix`` of a scenario file; every rejection names
+    its physical line.
 
-    The scenario rows go through numpy's C text reader (`_table_rows`) in the
-    same pass as the header.  A file it cannot take whole is read again by
-    `_read_exactly`, whose ``float()`` loop raises every row error and names
-    its line.
+    The scenario rows go through numpy's C text reader in the same pass as the
+    header.  It strips each field and converts it with ``PyOS_string_to_double``,
+    the routine ``float()`` ends in, but rejects ``_`` and non-ASCII digits: its
+    grammar is a strict subset of ``float()``'s, and each value it returns is
+    ``float()``'s bit for bit.  A file it cannot take, or whose table the
+    matrix rejects, is read again by `_read_exactly`, which names the line at
+    fault.
     """
-    with open(path) as handle:
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         _, header_no, group_ids, has_prob, initial = _scenario_head(handle)
-        rows = _table_rows(handle, has_prob, len(group_ids))
-    if rows is None:
-        return _read_exactly(path)
-    return _scenario_file(path, header_no, group_ids, initial, *rows)
+        try:
+            with warnings.catch_warnings():  # an empty remainder is the loop's error to report
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                table = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
+            return _scenario_matrix(table, header_no, group_ids, has_prob, initial)
+        except (ValueError, DataError):
+            pass
+    return _read_exactly(path)
 
 
 def _read_exactly(path):
     """`read_scenario_file` by a loop over the rows with ``float()`` semantics:
     the fallback for what numpy's reader rejects, and the tests' reference."""
-    with open(path) as handle:
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         lines, header_no, group_ids, has_prob, initial = _scenario_head(handle)
         kinds = ["probability"] * has_prob + ["scenario value"] * len(group_ids)
         rows = []  # (physical line number, the row's cells as floats)
@@ -211,11 +188,7 @@ def _read_exactly(path):
     bad = ~(np.isfinite(table.min(axis=1)) & np.isfinite(table.max(axis=1)))
     if bad.any():
         raise DataError("scenario cells must all be finite", line=rows[int(np.argmax(bad))][0])
-    values, probabilities = _columns(table, has_prob)
-    if has_prob and not _in_band(float(probabilities.sum())):
-        raise DataError(f"probabilities sum to {float(probabilities.sum())!r}, outside the "
-                        f"normalization band {_NORMALIZE_BAND}", line=rows[0][0])
-    return _scenario_file(path, header_no, group_ids, initial, values, probabilities)
+    return _scenario_matrix(table, header_no, group_ids, has_prob, initial, rows[0][0])
 
 
 @dataclass(frozen=True)
@@ -342,8 +315,8 @@ def _parse_choice(value, key, table, what):
 
 def parse_run_config(path):
     pairs = {}
-    with open(path) as handle:
-        for i, line in _lines(handle, comment="#"):
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        for i, line in _lines(handle, comment="#", error=ConfigError):
             if "=" not in line:
                 raise ConfigError(f"expected key=value, got {line!r}", line=i)
             key, value = (part.strip() for part in line.split("=", 1))

@@ -263,8 +263,8 @@ class _Branch(NamedTuple):
     a0: float
     a2: float
     linear_q: float
-    P: np.ndarray = None  # None in step_rate, which has no coefficient vectors
-    R: np.ndarray = None
+    P: np.ndarray
+    R: np.ndarray
 
 
 def direction_parts(consts, coeffs, mode, params):
@@ -298,16 +298,6 @@ def _rate(branch, consts, mode, maximize):
     q_mag = math.sqrt(-branch.a0 / branch.a2)
     q = q_mag if maximize else -q_mag
     return q, branch.a0 / q + branch.linear_q
-
-
-def step_rate(consts, mode, params, maximize):
-    """Multiplier q and objective rate Q of one step, from the constants alone."""
-    proj = _project(consts, mode.rows)
-    kappa = _restrict((params.kappa1, params.kappa2), mode.rows)
-    mu = _solve(proj.adjugate, proj.det, kappa)
-    branch = _Branch(lam=proj.lam, mu=mu, a0=max(proj.a0, 0.0),
-                     a2=_dot(kappa, mu) - 1.0, linear_q=_dot(proj.lam, kappa))
-    return _rate(branch, consts, mode, maximize)
 
 
 def solve_step(consts, coeffs, mode, params, maximize):

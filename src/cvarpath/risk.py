@@ -146,6 +146,19 @@ def check_costs(costs, name="cost_coefficients"):
                         f"(min/max ratio {cmin / cmax:.3e} < 1e-6)")
 
 
+def _check_weights(weights, frozen):
+    """The frozen mask as a bool array, after the checks of what a step changes:
+    the weights are finite, the mask has their shape, and no active weight is
+    exactly 0."""
+    _finite(weights, "weights")
+    frozen = np.asarray(frozen, dtype=bool)
+    if frozen.shape != weights.shape:
+        raise DataError("frozen mask length does not match weights")
+    if ((weights == 0.0) & ~frozen).any():
+        raise DomainError("active weight components must be nonzero")
+    return frozen
+
+
 @dataclass
 class PortfolioState:
     """Current allocation together with the data needed to re-price it.
@@ -174,20 +187,13 @@ class PortfolioState:
             if arr.shape != (n,):
                 raise DataError(f"{name} length does not match weights")
         self.base_value = float(self.base_value)
-        _finite(self.weights, "weights")
         check_returns(self.returns, self.base_value)
         check_costs(self.cost_coefficients)
         _finite(self.base_weights, "base_weights")
-        if self.frozen is None:
-            self.frozen = np.zeros(n, dtype=bool)
-        else:
-            self.frozen = np.asarray(self.frozen, dtype=bool)
-            if self.frozen.shape != (n,):
-                raise DataError("frozen mask length does not match weights")
         if np.any(self.base_weights == 0.0):
             raise DomainError("base weights must all be nonzero")
-        if np.any((self.weights == 0.0) & ~self.frozen):
-            raise DomainError("active weight components must be nonzero")
+        frozen = np.zeros(n, dtype=bool) if self.frozen is None else self.frozen
+        self.frozen = _check_weights(self.weights, frozen)
 
     def with_weights(self, weights, frozen=None):
         """This state at new weights (and frozen mask), checking only what a step changes.
@@ -198,15 +204,7 @@ class PortfolioState:
         weights = _vector(weights, "weights")
         if weights.shape != self.returns.shape:
             raise DataError("returns length does not match weights")
-        _finite(weights, "weights")
-        if frozen is None:
-            frozen = self.frozen
-        else:
-            frozen = np.asarray(frozen, dtype=bool)
-            if frozen.shape != weights.shape:
-                raise DataError("frozen mask length does not match weights")
-        if ((weights == 0.0) & ~frozen).any():
-            raise DomainError("active weight components must be nonzero")
+        frozen = _check_weights(weights, self.frozen if frozen is None else frozen)
         state = object.__new__(type(self))  # a copy of the fields, without __post_init__
         state.__dict__.update(self.__dict__, weights=weights, frozen=frozen)
         return state

@@ -11,12 +11,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from cvarpath import (DegenerateProblemError, DomainError, InfeasibleStepError, PathParams,
-                      TailSet, cvar, portfolio_losses, tail_split)
-from cvarpath.projection import step_rate
+from cvarpath import DomainError, InfeasibleStepError, TailSet, cvar, portfolio_losses, tail_split
 from cvarpath.risk import _CDF_SLACK, scaled_group_losses
 
 _RANK_TOL = 1e-12
+# a0 at or below this share of F: f lies in the constraint span
+_SPAN_TOL = 1e-12
 
 
 def tail_split_by_sort(losses, probabilities, beta):
@@ -134,11 +134,31 @@ def best_feasible_direction(coeffs, mode, params, samples=100_000, seed=0):
 
 
 def _rate_value(consts, mode, k1, k2, maximize):
-    """Closed-form Q at given rates, or None where the step is infeasible."""
+    """The objective rate Q at rates (k1, k2) from the constants alone, or None
+    where the step is infeasible or degenerate.
+
+    Over the active rows, with M their block of the Gram matrix of (1, h, f)
+    in the c^-2 metric and b their column against f: lam = M^-1 b,
+    mu = M^-1 kappa, a0 = F - b.lam and a2 = kappa.mu - 1.  The multiplier q
+    solves a2 q^2 + a0 = 0 on the optimization side, and Q = a0/q + lam.kappa.
+    """
+    gram = np.array([[consts.U, consts.V, consts.G],
+                     [consts.V, consts.W, consts.H],
+                     [consts.G, consts.H, consts.F]])
+    rows = list(mode.rows)
+    block, b = gram[np.ix_(rows, rows)], gram[rows, 2]
+    kappa = np.array([k1, k2])[rows]
     try:
-        return step_rate(consts, mode, PathParams(k1, k2), maximize)[1]
-    except (InfeasibleStepError, DegenerateProblemError):
+        lam = np.linalg.solve(block, b)
+        mu = np.linalg.solve(block, kappa)
+    except np.linalg.LinAlgError:
         return None
+    a0 = consts.F - float(b @ lam)
+    a2 = float(kappa @ mu) - 1.0
+    if a2 >= 0.0 or a0 <= _SPAN_TOL * consts.F:
+        return None
+    q = np.sqrt(-a0 / a2) * (1.0 if maximize else -1.0)
+    return float(a0 / q + lam @ kappa)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ class TestGen:
     def test_gen_writes_readable_file(self, tmp_path, capsys):
         out = gen_file(tmp_path)
         assert "wrote" in capsys.readouterr().out
-        matrix = read_scenario_file(out).matrix
+        matrix = read_scenario_file(out)
         assert matrix.n_groups == 6
         assert matrix.n_scenarios == 200
 
@@ -191,6 +191,23 @@ class TestBadValues:
         assert "error_code=data losses must all be finite" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_analyze_undecodable_byte_in_a_cell(self, tmp_path):
+        scen = tmp_path / "scen.csv"
+        scen.write_bytes(b"group,a,b\ninitial,10,10\n9,11\n11,9\xff\n")
+        proc = run_cli("analyze", "--scenarios", str(scen), "--beta", "0.9")
+        assert proc.returncode == EXIT_DOMAIN
+        assert proc.stderr.splitlines() == [
+            "error_code=data line 4: byte 0xff is not valid UTF-8"]
+
+    def test_optimize_undecodable_byte_in_a_config_value(self, tmp_path):
+        """A Latin-1 byte in a value fails at its line; one in a comment is cut with it."""
+        cfg = write_good_config(tmp_path, gen_file(tmp_path))
+        cfg.write_bytes(cfg.read_bytes() + b"# r\xe9sum\xe9\noutput = r\xe9sum\xe9.csv\n")
+        proc = run_cli("optimize", "--config", str(cfg))
+        assert proc.returncode == EXIT_DOMAIN
+        assert proc.stderr.splitlines() == [
+            "error_code=config line 9: byte 0xe9 is not valid UTF-8"]
+
     def test_gen_block_size_zero(self, tmp_path):
         proc = run_cli("gen", "--seed", "1", "--groups", "4", "--scenarios", "10",
                        "--block-size", "0", "--out", str(tmp_path / "x.csv"))
@@ -286,6 +303,8 @@ BAD_TOKENS = ("nan", "inf", "-Infinity", "1e400", "", "abc", "-0.5", "1.5")
 # Values that parse and are finite but overflow a step, underflow a square,
 # or lie outside a count's range.
 EXTREME_TOKENS = ("1e200", "1e-300", "-5", "0")
+# "9" and the byte 0xff, which is not UTF-8, as read with errors="surrogateescape"
+UNDECODABLE = "9\udcff"
 GOOD_CONFIG = {"objective": "min_risk", "mode": "revenue_only", "beta": "0.9",
                "delta_c": "0.01", "total_cost": "0.05", "returns": "0.05"}
 RUN_KEYS = sorted(GOOD_CONFIG) + ["costs", "kappa1", "kappa2", "max_steps", "steady_window"]
@@ -301,8 +320,8 @@ def write_good_config(directory, scenarios):
 
 @st.composite
 def scenario_texts(draw):
-    """A small valid scenario file with up to two faults: a bad token in a
-    cell, or a row one cell short or long."""
+    """A small valid scenario file with up to two faults: a bad token or a
+    byte that is not UTF-8 in a cell, or a row one cell short or long."""
     n = draw(st.integers(2, 3))
     k = draw(st.integers(1, 5))
     has_prob = draw(st.booleans())
@@ -314,7 +333,8 @@ def scenario_texts(draw):
     for _ in range(draw(st.integers(0, 2))):
         row = rows[draw(st.integers(0, k))]
         if draw(st.booleans()):
-            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(BAD_TOKENS))
+            row[draw(st.integers(0, len(row) - 1))] = draw(
+                st.sampled_from(BAD_TOKENS + (UNDECODABLE,)))
         elif draw(st.booleans()):
             row.append("10")
         else:
@@ -333,10 +353,10 @@ def with_inserted_lines(draw, lines, fillers):
 @st.composite
 def run_configs(draw):
     """The valid config above with up to two values, its own or optional ones,
-    replaced by bad or extreme tokens."""
+    replaced by bad or extreme tokens or one holding a byte that is not UTF-8."""
     config = dict(GOOD_CONFIG)
     for key in draw(st.sets(st.sampled_from(RUN_KEYS), max_size=2)):
-        config[key] = draw(st.sampled_from(BAD_TOKENS + EXTREME_TOKENS))
+        config[key] = draw(st.sampled_from(BAD_TOKENS + EXTREME_TOKENS + (UNDECODABLE,)))
     return config
 
 
@@ -378,12 +398,12 @@ class TestCliFuzz:
     def test_exit_code_only(self, scenarios, config, beta, data):
         with tempfile.TemporaryDirectory() as tmp:
             scen = Path(tmp) / "scen.csv"
-            scen.write_text(scenarios)
+            scen.write_bytes(scenarios.encode("utf-8", "surrogateescape"))
             cfg = Path(tmp) / "run.cfg"
             cfg_text = with_inserted_lines(
                 data.draw, [f"scenarios = {scen}", f"output = {Path(tmp) / 'path.csv'}"]
                 + [f"{key} = {value}" for key, value in config.items()], ("", "# note"))
-            cfg.write_text(cfg_text)
+            cfg.write_bytes(cfg_text.encode("utf-8", "surrogateescape"))
             exits = (EXIT_OK, EXIT_DOMAIN, EXIT_USAGE)
             stderr = io.StringIO()
             with contextlib.redirect_stderr(stderr):

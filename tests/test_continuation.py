@@ -241,6 +241,18 @@ class TestLeanState:
             np.testing.assert_array_equal(a, b)
             assert np.asarray(a).dtype == np.asarray(b).dtype
 
+    @pytest.mark.parametrize("length", (1, 7))
+    def test_frozen_mask_of_another_length(self, length):
+        """The constructor and ``with_weights`` both reject it; one of length 1
+        would otherwise broadcast over the 6 weights."""
+        _, state = small_portfolio()
+        frozen = np.zeros(length, dtype=bool)
+        message = "^frozen mask length does not match weights$"
+        with pytest.raises(DataError, match=message):
+            dataclasses.replace(state, frozen=frozen)
+        with pytest.raises(DataError, match=message):
+            state.with_weights(state.weights.copy(), frozen)
+
     def test_step_to_exact_zero_without_clamp(self):
         _, state = small_portfolio()
         y = np.zeros(state.n_groups)

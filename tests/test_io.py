@@ -44,7 +44,7 @@ class TestScenarioRoundTrip:
                                 probabilities=matrix.probabilities)
         path = tmp_path / "scen.csv"
         write_scenarios(matrix, path)
-        back = read_scenario_file(path).matrix
+        back = read_scenario_file(path)
         np.testing.assert_array_equal(back.initial_values, matrix.initial_values)
         np.testing.assert_array_equal(back.values, matrix.values)
         np.testing.assert_array_equal(back.probabilities, matrix.probabilities)
@@ -54,11 +54,10 @@ class TestScenarioRoundTrip:
         matrix = random_matrix(np.random.default_rng(2), n=3, k=10)
         path = tmp_path / "scen.csv"
         write_scenarios(matrix, path)
-        sf = read_scenario_file(path)
-        assert sf.n_rows == 10
-        assert sf.n_groups == 3
-        assert sf.has_probabilities
-        assert not sf.normalized
+        back = read_scenario_file(path)
+        assert (back.n_scenarios, back.n_groups) == (10, 3)
+        # the written probabilities, not uniform ones and not normalised again
+        np.testing.assert_array_equal(back.probabilities, matrix.probabilities)
 
     def test_probabilities_normalized_within_band(self, tmp_path):
         path = tmp_path / "scen.csv"
@@ -66,17 +65,19 @@ class TestScenarioRoundTrip:
                         "initial,10,10\n"
                         "0.5002,9,11\n"
                         "0.5002,11,9\n")
-        sf = read_scenario_file(path)
-        assert sf.normalized
-        assert sf.matrix.probabilities.sum() == pytest.approx(1.0, abs=1e-15)
+        probabilities = read_scenario_file(path).probabilities
+        np.testing.assert_array_equal(probabilities, [0.5, 0.5])
+        assert probabilities.sum() == pytest.approx(1.0, abs=1e-15)
 
-    def test_probabilities_outside_band_rejected(self, tmp_path):
+    @pytest.mark.parametrize("p,total", (("0.7", "1.4"), ("1e308", "inf")))
+    def test_probabilities_outside_band_rejected(self, tmp_path, p, total):
+        """A sum that overflows is outside the band too, without a numpy warning."""
         path = tmp_path / "scen.csv"
         path.write_text("group,prob,a,b\n"
                         "initial,10,10\n"
-                        "0.7,9,11\n"
-                        "0.7,11,9\n")
-        with pytest.raises(DataError) as err:
+                        f"{p},9,11\n"
+                        f"{p},11,9\n")
+        with pytest.raises(DataError, match=f"probabilities sum to {total}, outside") as err:
             read_scenario_file(path)
         assert err.value.line == 3
 
@@ -117,7 +118,7 @@ class TestScenarioRoundTrip:
                 read_scenario_file(path)
             assert err.value.line == 4
             return
-        assert read_scenario_file(path).matrix.values[1, 0] == expected
+        assert read_scenario_file(path).values[1, 0] == expected
 
     def test_non_finite_initial_value_names_its_line(self, tmp_path):
         path = tmp_path / "scen.csv"
@@ -193,7 +194,7 @@ class TestScenarioRoundTrip:
         write_scenarios(generate(GeneratorSpec(seed=4, n_groups=100, n_scenarios=2000)), path)
         tracemalloc.start()
         try:
-            values = read_scenario_file(path).matrix.values
+            values = read_scenario_file(path).values
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -221,11 +222,9 @@ def assert_same_read(path):
         assert str(got_exc) == str(want_exc)
         assert getattr(got_exc, "line", None) == getattr(want_exc, "line", None)
         return
-    assert (got.path, got.n_rows, got.n_groups, got.has_probabilities, got.normalized) == \
-        (want.path, want.n_rows, want.n_groups, want.has_probabilities, want.normalized)
-    assert got.matrix.group_ids == want.matrix.group_ids
+    assert got.group_ids == want.group_ids
     for name in ("initial_values", "values", "probabilities"):
-        a, b = getattr(got.matrix, name), getattr(want.matrix, name)
+        a, b = getattr(got, name), getattr(want, name)
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
         assert [a.flags[f] for f in FLAGS] == [b.flags[f] for f in FLAGS], name
 
@@ -306,10 +305,10 @@ class TestFastReader:
         monkeypatch.setattr(data, "_read_exactly", no_fallback)
         written = tmp_path / "written.csv"
         write_scenarios(generate(GeneratorSpec(seed=3, n_groups=6, n_scenarios=50)), written)
-        assert read_scenario_file(written).n_rows == 50
+        assert read_scenario_file(written).n_scenarios == 50
         plain = tmp_path / "plain.csv"
         plain.write_bytes(b"group,a,b\r\ninitial,10,10\r\n\r\n 9 ,11\r\n11,\t9\r\n")
-        assert read_scenario_file(plain).matrix.values.tolist() == [[9.0, 11.0], [11.0, 9.0]]
+        assert read_scenario_file(plain).values.tolist() == [[9.0, 11.0], [11.0, 9.0]]
 
     def test_writer_bytes_equal_per_cell_formatting(self, tmp_path):
         """One %-format per row writes what f"{x:.17g}" per cell wrote."""

@@ -1,5 +1,8 @@
 """The package surface: what ``cvarpath`` exports and how its modules import each other."""
 import ast
+import contextlib
+import io
+import re
 from pathlib import Path
 
 import cvarpath
@@ -9,7 +12,7 @@ EXPORTS = [
     "ContinuationResult", "DataError", "DegenerateProblemError", "DomainError",
     "ExtremumAutopilot", "ExtremumSolution", "FixedKappas", "GeneratorSpec",
     "InfeasibleStepError", "LossTable", "ObjectiveKind", "PATH_COLUMNS", "PathParams",
-    "PathRecord", "PortfolioError", "PortfolioState", "RiskReport", "RunConfig", "ScenarioFile",
+    "PathRecord", "PortfolioError", "PortfolioState", "RiskReport", "RunConfig",
     "ScenarioMatrix", "StepConstants", "StepSolution", "TailSet", "apply_step", "build_losses",
     "constants", "continuation", "convergence_study", "cvar", "cvar_tail_average", "dar", "data",
     "direction_parts", "effective_problem", "errors", "extremum_kappas", "generate",
@@ -28,3 +31,16 @@ def test_exports_and_no_private_sibling_imports():
                     node.level or (node.module or "").split(".")[0] == "cvarpath"):
                 private = [alias.name for alias in node.names if alias.name.startswith("_")]
                 assert not private, f"{path.name} imports {private} from {node.module}"
+
+
+def test_readme_library_use_runs(tmp_path, monkeypatch):
+    """The README's ``Library use`` block, run as it stands in a scratch directory."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.DOTALL)[1]
+    monkeypatch.chdir(tmp_path)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    reason, cvar = out.getvalue().split()
+    assert reason and float(cvar) > 0.0
