@@ -9,11 +9,10 @@ from .data import (PATH_COLUMNS, GeneratorSpec, RunConfig, generate, parse_run_c
 from .errors import (ConfigError, DataError, DegenerateProblemError, DomainError,
                      InfeasibleStepError, PortfolioError)
 from .oracle import cvar_tail_average
-from .projection import (Coefficients, ConstraintMode, ConstraintVariant,
-                         ExtremumSolution, ObjectiveKind, PathParams, StepConstants,
-                         StepSolution, constants, direction_parts, effective_problem,
-                         extremum_kappas, hessian_sign_check,
-                         select_coefficients, solve_step, validate_mode)
+from .projection import (Coefficients, ConstraintMode, ConstraintVariant, ObjectiveKind,
+                         PathParams, StepConstants, constants, direction_parts,
+                         effective_problem, extremum_kappas, select_coefficients, solve_step,
+                         validate_mode)
 from .risk import (LossTable, PortfolioState, RiskReport, ScenarioMatrix, TailSet,
                    build_losses, cvar, dar, initial_state, portfolio_losses, report,
                    tail_split, var)

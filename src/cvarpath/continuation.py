@@ -2,13 +2,15 @@
 
 Each step re-evaluates the risk report at the current weights, rebuilds the
 coefficient vectors over the active components, obtains the path rates from
-the configured policy, solves the closed-form step, applies the weight
-update with optional zero clamping and fixed-risk rescaling, and records the
-resulting metrics.
+the configured policy, solves the closed-form step (or, on the linear
+objectives, reuses the last solve while the tail set and frozen mask stand),
+applies the weight update with optional zero clamping and fixed-risk
+rescaling, and records the resulting metrics.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -68,6 +70,14 @@ class ContinuationConfig:
             raise ConfigError("beta must be in [0, 1)")
         if self.total_cost < 0.0:
             raise ConfigError("total_cost must be non-negative")
+        counts = [("steady_state_window", self.steady_state_window)]
+        if self.max_steps is not None:
+            counts.append(("max_steps", self.max_steps))
+        for name, value in counts:
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ConfigError(f"{name} must be an integer, got {value!r}") from None
         if self.max_steps is not None and self.max_steps < 0:
             raise ConfigError(f"max_steps must be non-negative, got {self.max_steps}")
         if self.steady_state_window < 1:
@@ -179,7 +189,21 @@ def _resolve_kappas(policy, consts, mode, maximize):
 
 
 def run(scenarios, state0, config):
-    """Drive the continuation path; returns the full step-by-step record."""
+    """Drive the continuation path; returns the full step-by-step record.
+
+    On the linear objective rows (min risk and max return, which
+    return-to-risk with a second constraint resolves to) a step whose tail
+    set and frozen mask equal those of the last solve reuses that solve's
+    rates and direction.  The reuse is exact: at a fixed tail set the Euler
+    contribution per unit weight, (tail weights @ Z) / w_base / (1 - beta),
+    does not depend on w, so neither do f, h, the step constants, the
+    autopilot rates nor y.  A recomputed y differs from the reused one by
+    rounding alone (on the flagship path by at most 4e-15 of its largest
+    entry).  The tail signature fixes the tail weights: it holds the
+    strict-tail rows, the atom rows and the atom fraction.  Return-to-risk
+    without a second constraint and diversification have coefficients that
+    move with w, so those steps always solve.
+    """
     table = build_losses(scenarios)
     state = state0
     rep = report(table, state, config.beta)
@@ -188,27 +212,32 @@ def run(scenarios, state0, config):
     records = [_make_record(0, 0.0, _AT_REST, 0.0, 0.0, state, rep, (), 1.0, base)]
     reason = "budget"
     streak = 0
-    _, maximize = effective_problem(config.objective, config.mode)
+    row, maximize = effective_problem(config.objective, config.mode)
+    reusable = row in (ObjectiveKind.MIN_RISK, ObjectiveKind.MAX_RETURN)
+    solved_key = None
     for m in range(1, config.n_steps + 1):
         active = state.active
         if not active.any():
             reason = "all-clamped"
             break
-        try:
-            coeffs = select_coefficients(config.objective, state, rep, config.mode)
-            consts = constants(coeffs)
-            params = _resolve_kappas(config.kappa_policy, consts, config.mode, maximize)
-            sol = solve_step(consts, coeffs, config.mode, params, maximize)
-        except InfeasibleStepError:
-            reason = "infeasible-step"
-            break
-        except DegenerateProblemError:
-            # A vanished gradient or extremum branch means the state is
-            # locally stationary; treat it as the path settling down.
-            reason = "steady-state"
-            break
-        y = np.zeros(state.n_groups)
-        y[active] = sol.y
+        key = (rep.tail_signature, state.frozen.tobytes()) if reusable else None
+        if key is None or key != solved_key:
+            try:
+                coeffs = select_coefficients(config.objective, state, rep, config.mode)
+                consts = constants(coeffs)
+                params = _resolve_kappas(config.kappa_policy, consts, config.mode, maximize)
+                sol = solve_step(consts, coeffs, config.mode, params, maximize)
+            except InfeasibleStepError:
+                reason = "infeasible-step"
+                break
+            except DegenerateProblemError:
+                # A vanished gradient or extremum branch means the state is
+                # locally stationary; treat it as the path settling down.
+                reason = "steady-state"
+                break
+            y = np.zeros(state.n_groups)
+            y[active] = sol.y
+            solved_key = key
         cvar_before = rep.cvar
         state, clamped = apply_step(state, y, config.delta_c, config.clamp_nonnegative)
         all_clamped = not state.active.any()

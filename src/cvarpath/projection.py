@@ -6,7 +6,7 @@ rate kappa1 and total return/risk rate kappa2) and the quadratic cost
 normalization sum(c^2 y^2) = 1.  Every constraint variant is one problem:
 project f off the active constraint rows {1, h} in the c^-2 metric.  A single
 Gram solve of at most 2x2 gives the projection, the Lagrange multiplier q
-(a root of a2 q^2 + a0 = 0), the steepest-path rates and the Hessian check.
+(a root of a2 q^2 + a0 = 0) and the steepest-path rates.
 """
 from __future__ import annotations
 
@@ -350,26 +350,3 @@ def extremum_kappas(consts, mode, fixed_revenue, fixed_second, maximize):
     return ExtremumSolution(kappa1_bar=kappa1, kappa2_bar=kappa2, q_bar=q_bar,
                             subcase=_SUBCASES[rows, fixed])
 
-
-@dataclass(frozen=True)
-class HessianDiagnostic:
-    determinant: float
-    d2_kappa1: float
-    d2_kappa2: float
-    is_extremum: bool
-
-
-def hessian_sign_check(consts, extremum):
-    """Second-order diagnostic at the free-rate extremum (subcase B.1.1).
-
-    The Hessian of Q over (kappa1, kappa2) is -q_bar (M^-1 + lam lam^T / a0);
-    at q_bar^2 = F its determinant is F^2 / (det M a0).
-    """
-    proj = _project(consts, (0, 1))
-    q_bar = extremum.q_bar
-    d2_k1, d2_k2 = (-q_bar * (proj.adjugate[i][i] / proj.det + proj.lam[i] ** 2 / proj.a0)
-                    for i in (0, 1))
-    determinant = consts.F ** 2 / (proj.det * proj.a0)
-    is_extremum = determinant > 0.0 and d2_k1 * q_bar < 0.0 and d2_k2 * q_bar < 0.0
-    return HessianDiagnostic(determinant=determinant, d2_kappa1=d2_k1,
-                             d2_kappa2=d2_k2, is_extremum=is_extremum)

@@ -5,13 +5,16 @@ split sorts every loss where the engine selects the upper tail first, the
 Euler contributions and standalone CVaRs use the scaled K x N loss matrix
 and one CVaR per column, the direction search samples the feasible sphere,
 the rate search evaluates the objective rate on a grid, and DaR is a
-central difference.  The tail-average CVaR stays in ``cvarpath.oracle``.
+central difference.  The Hessian sign check verifies the free-rate extremum
+to second order; no step needs it.  The tail-average CVaR stays in
+``cvarpath.oracle``.
 """
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from cvarpath import DomainError, InfeasibleStepError, TailSet, cvar, portfolio_losses, tail_split
+from cvarpath.projection import _project
 from cvarpath.risk import _CDF_SLACK, scaled_group_losses
 
 _RANK_TOL = 1e-12
@@ -194,6 +197,30 @@ def kappa_grid_search(consts, mode, grid_step, bounds, maximize=True,
     if best is None:
         raise InfeasibleStepError("no feasible grid point")
     return GridSearchResult(kappa1=best[0], kappa2=best[1], Q=best[2], grid_step=grid_step)
+
+
+@dataclass(frozen=True)
+class HessianDiagnostic:
+    determinant: float
+    d2_kappa1: float
+    d2_kappa2: float
+    is_extremum: bool
+
+
+def hessian_sign_check(consts, extremum):
+    """Second-order diagnostic at the free-rate extremum (subcase B.1.1).
+
+    The Hessian of Q over (kappa1, kappa2) is -q_bar (M^-1 + lam lam^T / a0);
+    at q_bar^2 = F its determinant is F^2 / (det M a0).
+    """
+    proj = _project(consts, (0, 1))
+    q_bar = extremum.q_bar
+    d2_k1, d2_k2 = (-q_bar * (proj.adjugate[i][i] / proj.det + proj.lam[i] ** 2 / proj.a0)
+                    for i in (0, 1))
+    determinant = consts.F ** 2 / (proj.det * proj.a0)
+    is_extremum = determinant > 0.0 and d2_k1 * q_bar < 0.0 and d2_k2 * q_bar < 0.0
+    return HessianDiagnostic(determinant=determinant, d2_kappa1=d2_k1,
+                             d2_kappa2=d2_k2, is_extremum=is_extremum)
 
 
 @dataclass(frozen=True)

@@ -26,13 +26,13 @@ from cvarpath import (
     dar,
     extremum_kappas,
     generate,
-    hessian_sign_check,
     initial_state,
     portfolio_losses,
     run,
     solve_step,
 )
-from oracle import best_feasible_direction, kappa_grid_search, risk_contributions
+from oracle import (best_feasible_direction, hessian_sign_check, kappa_grid_search,
+                    risk_contributions)
 from conftest import random_distribution, random_matrix, random_step_instance
 
 

@@ -1,5 +1,6 @@
 """Path driver: stepping, clamping, rescaling, termination, convergence."""
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -362,6 +363,19 @@ class TestTermination:
             ContinuationConfig(objective=ObjectiveKind.MIN_RISK, mode=REV,
                                steady_state_window=window)
 
+    @pytest.mark.parametrize("value", (2.5, float("nan"), "3"))
+    @pytest.mark.parametrize("name", ("max_steps", "steady_state_window"))
+    def test_non_integral_counts_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer, got "):
+            ContinuationConfig(objective=ObjectiveKind.MIN_RISK, mode=REV, **{name: value})
+
+    @pytest.mark.parametrize("name", ("max_steps", "steady_state_window"))
+    def test_numpy_integer_counts_accepted(self, name):
+        matrix, state = small_portfolio()
+        cfg = ContinuationConfig(objective=ObjectiveKind.MIN_RISK, mode=REV, beta=0.9,
+                                 delta_c=1e-3, total_cost=0.003, **{name: np.int64(2)})
+        assert len(run(matrix, state, cfg).records) == 1 + min(cfg.n_steps, 3)
+
     def test_step_count_ceiling(self):
         """At most 10^6 steps, counted after max_steps; the error names both keys."""
         cfg = ContinuationConfig(objective=ObjectiveKind.MIN_RISK, mode=REV, delta_c=1e-6,
@@ -393,6 +407,139 @@ class TestTermination:
         with pytest.raises(ConfigError):
             ContinuationConfig(objective=ObjectiveKind.MIN_RISK,
                                mode=ConstraintMode(ConstraintVariant.BOTH, "risk"))
+
+
+RECORD_FIELDS = [f.name for f in dataclasses.fields(continuation.PathRecord)
+                 if f.name not in ("clamped_ids", "tail_signature")]
+
+
+def assert_same_path(name, got, want, rtol):
+    """Agree to rtol of the largest magnitude along the path: where a weight
+    passes near zero unclamped, the few-ulp rounding of the larger weights
+    stays in absolute terms."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want), err_msg=name)
+    scale = np.nanmax(np.abs(want), initial=0.0)
+    error = np.nanmax(np.abs(got - want), initial=0.0)
+    assert error <= rtol * scale, f"{name}: off by {error:.3e} at scale {scale:.3e}"
+
+
+@st.composite
+def linear_paths(draw):
+    """A small table and a min-risk or max-return path of 100-200 steps."""
+    n, k = draw(st.integers(4, 10)), draw(st.integers(200, 500))
+    matrix, state = small_portfolio(seed=draw(st.integers(0, 2**32 - 1)), n=n, k=k)
+    # cheaper moves take longer steps, so some paths clamp within their budget
+    state = initial_state(matrix, state.returns, draw(st.sampled_from((1.0, 0.1))))
+    objective = draw(st.sampled_from((ObjectiveKind.MIN_RISK, ObjectiveKind.MAX_RETURN)))
+    second = "return" if objective is ObjectiveKind.MIN_RISK else "risk"
+    mode = ConstraintMode(draw(st.sampled_from(ConstraintVariant)), second)
+    if draw(st.booleans()):
+        policy = ExtremumAutopilot(fixed_revenue=draw(st.booleans()),
+                                   fixed_second=draw(st.booleans()))
+    else:
+        policy = FixedKappas(kappa1=draw(st.floats(-0.3, 0.3)),
+                             kappa2=draw(st.floats(-0.01, 0.01)))
+    config = ContinuationConfig(objective=objective, mode=mode, kappa_policy=policy,
+                                beta=0.9, delta_c=1e-3, total_cost=1.0, steady_state_tol=0.0,
+                                max_steps=draw(st.integers(100, 200)),
+                                clamp_nonnegative=draw(st.booleans()),
+                                fixed_total_risk=draw(st.booleans()))
+    return matrix, state, config
+
+
+def count_solves(monkeypatch):
+    """Count the ``solve_step`` calls ``run`` makes; returns the growing list."""
+    calls = []
+    solve = continuation.solve_step
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(continuation, "solve_step", counted)
+    return calls
+
+
+class TestStepReuse:
+    """A step reuses the last solve while the tail set and frozen mask stand,
+    on the min-risk and max-return rows only."""
+
+    @given(linear_paths())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_the_recomputing_path(self, drawn):
+        """A report whose tail signature is always new makes every step solve:
+        the path that recomputes is the oracle of the path that reuses."""
+        matrix, state, config = drawn
+        reused = run(matrix, state, config)
+        fresh_report, solve = continuation.report, continuation.solve_step
+        amplification = []
+
+        def measured_solve(consts, *args):
+            sol = solve(consts, *args)
+            amplification.append(math.sqrt(max(consts.F, sol.a0) / sol.a0) - 1.0 / sol.a2)
+            return sol
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(continuation, "report", lambda *args: dataclasses.replace(
+                fresh_report(*args), tail_signature=object()))
+            mp.setattr(continuation, "solve_step", measured_solve)
+            recomputed = run(matrix, state, config)
+        # A solve amplifies rounding by its two cancellations: P = f - lam.rows
+        # leaves sqrt(a0) of |f| = sqrt(F), and a2 = kappa.mu - 1 cancels as
+        # the rates near the cost ellipsoid (at the free extremum, a2 = -a0/F).
+        # Both grow where the path chatters across a kink, and the amplified
+        # rounding adds up along the path.  Over 4,000 drawn paths the worst
+        # error was 4.5e-16 of the sum, and 15 exceeded a flat 1e-12.
+        rtol = max(1e-12, 1e-14 * sum(amplification))
+        assert reused.reason == recomputed.reason
+        assert len(reused.records) == len(recomputed.records)
+        for name in RECORD_FIELDS:
+            assert_same_path(name, [getattr(r, name) for r in reused.records],
+                             [getattr(r, name) for r in recomputed.records], rtol)
+        assert ([r.clamped_ids for r in reused.records]
+                == [r.clamped_ids for r in recomputed.records])
+
+    def test_one_solve_per_tail_set_and_mask(self, monkeypatch):
+        """A rate near the cost limit sells every group down until one clamps;
+        the clamp changes the mask, and that step's solve finds the rate
+        infeasible for the groups left."""
+        matrix, state = small_portfolio(seed=0, n=5, k=300)
+        state = initial_state(matrix, state.returns, 0.1)
+        calls = count_solves(monkeypatch)
+        cfg = ContinuationConfig(objective=ObjectiveKind.MIN_RISK, mode=REV,
+                                 kappa_policy=FixedKappas(kappa1=-20.0), beta=0.9,
+                                 delta_c=2e-4, total_cost=0.06, steady_state_tol=0.0)
+        res = run(matrix, state, cfg)
+        assert res.reason == "infeasible-step" and res.terminal_record.clamped_ids
+        # record m holds the tail set and mask that step m + 1 is keyed on
+        keys = [(r.tail_signature, r.frozen_count) for r in res.records]
+        changes = sum(a != b for a, b in zip(keys, keys[1:]))
+        assert len(calls) == 1 + changes < len(res.records) / 2
+
+    @pytest.mark.parametrize("second", ("return", "risk"))
+    def test_ratio_with_a_second_constraint_reuses(self, monkeypatch, second):
+        """Return-to-risk with the second rate pinned is a linear row."""
+        matrix, state = small_portfolio(seed=6, n=5, k=300)
+        calls = count_solves(monkeypatch)
+        cfg = ContinuationConfig(objective=ObjectiveKind.MAX_RETURN_TO_RISK,
+                                 mode=ConstraintMode(ConstraintVariant.BOTH, second),
+                                 beta=0.9, delta_c=1e-3, total_cost=0.1,
+                                 steady_state_tol=0.0)
+        res = run(matrix, state, cfg)
+        assert res.reason == "budget"
+        assert 0 < len(calls) < len(res.records) - 1
+
+    @pytest.mark.parametrize("objective", (ObjectiveKind.MAX_RETURN_TO_RISK,
+                                           ObjectiveKind.MIN_DIVERSIFICATION))
+    def test_nonlinear_rows_solve_every_step(self, monkeypatch, objective):
+        matrix, state = small_portfolio(seed=6, n=5, k=300)
+        calls = count_solves(monkeypatch)
+        cfg = ContinuationConfig(objective=objective, mode=REV, beta=0.9, delta_c=1e-3,
+                                 total_cost=0.1, steady_state_tol=0.0)
+        res = run(matrix, state, cfg)
+        assert res.reason == "budget"
+        assert len(calls) == len(res.records) - 1
 
 
 class TestConvergence:

@@ -20,11 +20,10 @@ from cvarpath import (
     direction_parts,
     effective_problem,
     extremum_kappas,
-    hessian_sign_check,
     solve_step,
     validate_mode,
 )
-from oracle import best_feasible_direction, kappa_grid_search
+from oracle import best_feasible_direction, hessian_sign_check, kappa_grid_search
 from conftest import random_step_instance
 
 BOTH = ConstraintMode(ConstraintVariant.BOTH)
