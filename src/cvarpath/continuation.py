@@ -242,6 +242,8 @@ def run(scenarios, state0, config):
         state, clamped = apply_step(state, y, config.delta_c, config.clamp_nonnegative)
         all_clamped = not state.active.any()
         rep = report(table, state, config.beta)
+        # the step's own change: under fixed total risk the rescale below pins CVaR
+        rel_change = abs(rep.cvar - cvar_before) / max(abs(cvar_before), 1e-300)
         factor = 1.0
         if config.fixed_total_risk and not all_clamped:
             state, factor = rescale_fixed_risk(state, cvar_before, rep.cvar)
@@ -251,7 +253,6 @@ def run(scenarios, state0, config):
         if all_clamped:
             reason = "all-clamped"
             break
-        rel_change = abs(rep.cvar - cvar_before) / max(abs(cvar_before), 1e-300)
         if rel_change < config.steady_state_tol:
             streak += 1
             if streak >= config.steady_state_window:

@@ -117,7 +117,8 @@ def _scenario_matrix(table, header_no, group_ids, has_prob, initial, first_row_n
     """
     if has_prob:
         values, probabilities = table[:, 1:], table[:, 0].copy()
-        with np.errstate(over="ignore"):  # an overflowing sum is outside the band
+        # an overflowing sum, or the NaN of -inf + inf, is outside the band
+        with np.errstate(over="ignore", invalid="ignore"):
             total = float(probabilities.sum())
         if not _NORMALIZE_BAND[0] <= total <= _NORMALIZE_BAND[1]:
             raise DataError(f"probabilities sum to {total!r}, outside the "

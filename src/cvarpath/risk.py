@@ -3,6 +3,9 @@
 All quantities are computed from a scenario matrix of group values and a
 weight vector.  Losses are obtained by scaling the recorded loss columns with
 ``w / w_base`` so the distribution shape is fixed while the allocation moves.
+The loss columns Z = x0 - V are never stored: the loss vector Z @ s is
+x0 @ s - V @ s, and every other use of Z takes it from the matrix's own
+initial values x0 and scenario values V.
 """
 from __future__ import annotations
 
@@ -98,24 +101,31 @@ def _read_only(arr):
 
 @dataclass
 class LossTable:
-    """Per-group losses relative to the base allocation, one row per scenario.
+    """Per-group losses Z[k][n] = initial[n] - value[k][n] relative to the base
+    allocation, held as the two factors of the scenario matrix.
 
-    Both arrays are read-only views, because ``report`` caches the CVaR of
-    each column in ``_column_cvars`` for the life of the table.
+    All three arrays are read-only views: of the matrix's own arrays when
+    built by ``build_losses``, which copies nothing.  ``report`` caches the
+    CVaR of each column in ``_column_cvars`` for the life of the table, so a
+    caller who edits their matrix builds a new table.
     """
 
-    group_losses: np.ndarray
+    initial_values: np.ndarray
+    values: np.ndarray
     probabilities: np.ndarray
     # (beta, sign) -> cvar(sign * column) per column, NaN until a report needs it
     _column_cvars: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.group_losses = _read_only(np.asarray(self.group_losses, dtype=float))
+        self.initial_values = _read_only(_vector(self.initial_values, "initial_values"))
+        self.values = _read_only(np.asarray(self.values, dtype=float))
         self.probabilities = _read_only(_vector(self.probabilities, "probabilities"))
-        if self.group_losses.ndim != 2:
-            raise DataError("group_losses must be a K x N matrix")
-        if self.probabilities.shape[0] != self.group_losses.shape[0]:
-            raise DataError("probabilities length does not match the number of loss rows")
+        if self.values.ndim != 2:
+            raise DataError("values must be a K x N matrix")
+        if self.initial_values.shape[0] != self.values.shape[1]:
+            raise DataError("initial_values length does not match the number of columns")
+        if self.probabilities.shape[0] != self.values.shape[0]:
+            raise DataError("probabilities length does not match the number of rows")
 
 
 def check_returns(returns, base_value, name="returns"):
@@ -264,30 +274,35 @@ class TailSet:
 
 
 def build_losses(scenarios):
-    """Per-group losses Z[k][n] = initial[n] - value[k][n]."""
-    return LossTable(group_losses=scenarios.initial_values[None, :] - scenarios.values,
-                     probabilities=scenarios.probabilities.copy())
+    """The loss table of a scenario matrix: read-only views of its arrays, no copy."""
+    return LossTable(initial_values=scenarios.initial_values, values=scenarios.values,
+                     probabilities=scenarios.probabilities)
 
 
 def scaled_group_losses(table, state):
     """Loss columns rescaled to the current allocation via w / w_base.
 
-    ``report`` never forms this K x N matrix; the slow Euler reference in the
-    tests does.
+    ``report`` never forms this K x N matrix.
     """
     if np.any(state.base_weights == 0.0):
         raise DomainError("degenerate state: zero base weight")
     scale = state.weights / state.base_weights
-    return table.group_losses * scale[None, :]
+    return (table.initial_values - table.values) * scale
 
 
 def portfolio_losses(table, state):
-    """Total scenario losses Z @ (w / w_base) (degree-one homogeneous in w).
+    """Total scenario losses Z @ s = x0 @ s - V @ s with s = w / w_base
+    (degree-one homogeneous in w), in one K-vector.
 
     ``report`` and the tests' Euler reference both take the loss vector from
-    here, so they break exact ties between scenarios the same way.
+    here, so they break exact ties between scenarios the same way.  A loss
+    that overflows, or is inf - inf, is left non-finite for the tail split
+    to reject as a ``DataError``, without a numpy warning.
     """
-    return table.group_losses @ (state.weights / state.base_weights)
+    scale = state.weights / state.base_weights
+    with np.errstate(over="ignore", invalid="ignore"):
+        losses = table.values @ scale
+        return np.subtract(table.initial_values @ scale, losses, out=losses)
 
 
 def _tail_inputs(losses, probabilities):
@@ -400,7 +415,8 @@ def _standalone_cvars(table, scale, beta):
 
     s * cvar(z) for s > 0, |s| * cvar(-z) for s < 0 and exactly 0 for s = 0.
     Each column's cvar(z) or cvar(-z) is computed the first time it is needed
-    and kept on the table for later calls with the same beta.
+    and kept on the table for later calls with the same beta; the column
+    z = x0[n] - V[:, n] (or -z = V[:, n] - x0[n]) is formed only then.
     """
     out = np.zeros(scale.shape)
     for sign, side in ((1.0, scale > 0.0), (-1.0, scale < 0.0)):
@@ -410,7 +426,9 @@ def _standalone_cvars(table, scale, beta):
         if known is None:
             known = table._column_cvars[beta, sign] = np.full(scale.shape, np.nan)
         for n in np.flatnonzero(side & np.isnan(known)):
-            known[n] = cvar(sign * table.group_losses[:, n], table.probabilities, beta)
+            x0, column = table.initial_values[n], table.values[:, n]
+            signed = x0 - column if sign > 0.0 else column - x0
+            known[n] = cvar(signed, table.probabilities, beta)
         out[side] = np.abs(scale[side]) * known[side]
     return out
 
@@ -436,9 +454,10 @@ class RiskReport:
 def report(table, state, beta):
     """Evaluate every risk measure and index at the given state.
 
-    The scaled K x N loss matrix is never formed: losses are Z @ s and the
-    Euler contributions (tail weights @ Z) * s, with s = w / w_base, taken
-    over the rows of nonzero tail weight only.
+    No K x N array is formed: with s = w / w_base the losses are
+    x0 @ s - V @ s, and the Euler contributions (tail weights @ Z) * s are
+    (sum(t) * x0 - t @ V[rows]) * s / (1 - beta) over the rows of nonzero
+    tail weight t only.
     """
     scale = state.weights / state.base_weights
     total = portfolio_losses(table, state)
@@ -446,7 +465,9 @@ def report(table, state, beta):
     inv_tail = 1.0 / (1.0 - beta)
     cvar_total = float(ts.weights @ total) * inv_tail
     rows = (ts.weights != 0.0).nonzero()[0]
-    contributions = (ts.weights[rows] @ table.group_losses[rows]) * scale * inv_tail
+    tail = ts.weights[rows]
+    contributions = ((tail.sum() * table.initial_values - tail @ table.values[rows])
+                     * scale * inv_tail)
     dar_values = dar(contributions, state)
     standalone = _standalone_cvars(table, scale, beta)
     standalone_sum = float(standalone.sum())

@@ -2,10 +2,10 @@
 
 Each is structurally different from the engine path it checks: the tail
 split sorts every loss where the engine selects the upper tail first, the
-Euler contributions and standalone CVaRs use the scaled K x N loss matrix
-and one CVaR per column, the direction search samples the feasible sphere,
-the rate search evaluates the objective rate on a grid, and DaR is a
-central difference.  The Hessian sign check verifies the free-rate extremum
+Euler contributions and standalone CVaRs form the loss matrix Z = x0 - V
+and scale it, with one CVaR per column, the direction search samples the
+feasible sphere, the rate search evaluates the objective rate on a grid,
+and DaR is a central difference.  The Hessian sign check verifies the free-rate extremum
 to second order; no step needs it.  The tail-average CVaR stays in
 ``cvarpath.oracle``.
 """
@@ -15,7 +15,7 @@ import numpy as np
 
 from cvarpath import DomainError, InfeasibleStepError, TailSet, cvar, portfolio_losses, tail_split
 from cvarpath.projection import _project
-from cvarpath.risk import _CDF_SLACK, scaled_group_losses
+from cvarpath.risk import _CDF_SLACK
 
 _RANK_TOL = 1e-12
 # a0 at or below this share of F: f lies in the constraint span
@@ -51,15 +51,21 @@ def tail_split_by_sort(losses, probabilities, beta):
                    signature=signature)
 
 
+def loss_matrix(table):
+    """The K x N per-group losses Z = x0 - V that the engine never stores."""
+    return table.initial_values - table.values
+
+
 def risk_contributions(table, state, beta):
     """Euler allocation of CVaR over the tail scenario set used by ``cvar``."""
     ts = tail_split(portfolio_losses(table, state), table.probabilities, beta)
-    return (ts.weights @ scaled_group_losses(table, state)) / (1.0 - beta)
+    scaled = loss_matrix(table) * (state.weights / state.base_weights)
+    return (ts.weights @ scaled) / (1.0 - beta)
 
 
 def standalone_cvar(table, state, n, beta):
     """CVaR of the n-th group's scaled loss column on its own (one sort per call)."""
-    column = table.group_losses[:, n] * (state.weights[n] / state.base_weights[n])
+    column = loss_matrix(table)[:, n] * (state.weights[n] / state.base_weights[n])
     return cvar(column, table.probabilities, beta)
 
 

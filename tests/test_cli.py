@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 import cvarpath
 from cvarpath import read_scenario_file
 from cvarpath.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
+from conftest import small_portfolio
 
 
 def run_cli(*argv):
@@ -117,6 +118,20 @@ class TestOptimize:
         assert code == EXIT_DOMAIN
         assert "error_code=config" in capsys.readouterr().err
 
+    def test_fixed_total_risk_runs_its_budget(self, tmp_path, capsys):
+        """At the default steady_tol the pinned CVaR does not end a moving path."""
+        matrix, state = small_portfolio(seed=35)
+        scen = tmp_path / "scen.csv"
+        cvarpath.write_scenarios(matrix, scen)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"scenarios = {scen}\nobjective = max_return\nmode = none\n"
+                       "beta = 0.95\ndelta_c = 1e-3\ntotal_cost = 0.2\n"
+                       "fixed_total_risk = true\n"
+                       f"returns = {','.join(map(repr, state.returns.tolist()))}\n")
+        code = main(["optimize", "--config", str(cfg), "--output", str(tmp_path / "p.csv")])
+        assert code == EXIT_OK
+        assert "steps=200 c=0.2 reason=budget" in capsys.readouterr().out
+
     def test_output_override(self, tmp_path):
         scen = gen_file(tmp_path)
         cfg = self.write_config(tmp_path, scen)
@@ -190,6 +205,17 @@ class TestBadValues:
         assert proc.returncode == EXIT_DOMAIN
         assert "error_code=data losses must all be finite" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_optimize_overflowing_factor_product(self, tmp_path):
+        """x0 - V is finite in every cell and Z @ s in every row, but V @ s
+        overflows in the first: one line on stderr, no warning."""
+        scen = tmp_path / "big.csv"
+        scen.write_text("group,a,b\ninitial,8e307,8e307\n1.6e308,1.6e308\n"
+                        "8.1e307,7.9e307\n7.9e307,8.1e307\n")
+        cfg = write_good_config(tmp_path, scen)
+        proc = run_cli("optimize", "--config", str(cfg), "--output", str(tmp_path / "p.csv"))
+        assert proc.returncode == EXIT_DOMAIN
+        assert proc.stderr.splitlines() == ["error_code=data losses must all be finite"]
 
     def test_analyze_undecodable_byte_in_a_cell(self, tmp_path):
         scen = tmp_path / "scen.csv"

@@ -32,6 +32,7 @@ from cvarpath import (
     run,
 )
 from conftest import small_portfolio
+from oracle import loss_matrix
 
 REV = ConstraintMode(ConstraintVariant.REVENUE_ONLY)
 NONE = ConstraintMode(ConstraintVariant.NONE_ACTIVE)
@@ -100,7 +101,7 @@ class TestRunBasics:
 
         def slice_cvar(t):
             scale = np.array([1.0 - t, t]) / state.base_weights
-            losses = table.group_losses @ scale
+            losses = loss_matrix(table) @ scale
             return float(cvar(losses, table.probabilities, 0.9))
 
         best = min((slice_cvar(t), t) for t in np.linspace(0.0, 0.5, 201))
@@ -289,6 +290,17 @@ class TestTermination:
         res = run(matrix, state, cfg)
         assert res.reason == "steady-state"
         assert len(res.records) == 6
+
+    def test_fixed_total_risk_is_not_steady(self):
+        """The rescale pins CVaR, so the window counts each step's change
+        before it: weights that still move do not end the run."""
+        matrix, state = small_portfolio(seed=35)
+        cfg = ContinuationConfig(objective=ObjectiveKind.MAX_RETURN, mode=NONE,
+                                 delta_c=1e-3, total_cost=0.2, fixed_total_risk=True)
+        res = run(matrix, state, cfg)
+        assert res.reason == "budget"
+        assert res.terminal_record.step == 200
+        assert max(abs(rec.cvar_rel - 1.0) for rec in res.records) < 1e-12
 
     def test_infeasible_rates_terminate(self):
         matrix, state = small_portfolio(seed=43)

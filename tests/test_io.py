@@ -284,6 +284,7 @@ class TestFastReader:
         "group,a,b\ninitial,10,10\n\n9,1_1\n11,9\n",
         "group,prob,a,b\ninitial,10,10\n0.7,9,11\n0.7,11,9\n",
         "group,prob,a,b\ninitial,10,10\n0,9,11\n1,11,9\n",
+        "group,prob,a,b\ninitial,10,10\n-inf,0,0\nInfinity,0,0\n",
         "group,a,b\ninitial,10,10\n9,11\n9,11,12\n",
         "group,a,b,c\ninitial,10,10,10\n9,11\n9,11\n",
         "group,a,b\ninitial,10,10\n9,9\n11,11\n",
@@ -291,7 +292,8 @@ class TestFastReader:
     ])
     def test_each_fallback_case(self, tmp_path, text):
         """A width off the header, a cell only float() reads, probabilities off
-        the band or not positive, identical columns, and no scenario rows."""
+        the band, not positive or summing to NaN, identical columns, and no
+        scenario rows."""
         path = tmp_path / "scen.csv"
         path.write_text(text)
         assert_same_read(path)

@@ -1,5 +1,6 @@
 """VaR/CVaR, atom splitting, Euler allocation, and report invariants."""
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -30,7 +31,7 @@ from cvarpath import (
     tail_split,
     var,
 )
-from oracle import (finite_difference_dar, risk_contributions, standalone_cvar,
+from oracle import (finite_difference_dar, loss_matrix, risk_contributions, standalone_cvar,
                     tail_split_by_sort)
 from conftest import random_distribution, random_matrix, small_portfolio
 
@@ -310,18 +311,24 @@ class TestHomogeneityAndIndices:
 
 
 @st.composite
-def integer_tables(draw):
+def integer_tables(draw, max_initial=0):
     """A K x N table of small integer losses (ties and atoms) with unequal
-    probabilities, and weights that include zeros (frozen) and negatives."""
+    probabilities, and weights that include zeros (frozen) and negatives.
+
+    The initial values are integers in [0, max_initial] and the scenario
+    values are initial - losses, so the loss matrix is the drawn losses exactly.
+    """
     k = draw(st.integers(1, 30))
     n = draw(st.integers(2, 6))
     losses = draw(st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n),
                            min_size=k, max_size=k))
+    initial = np.array(draw(st.lists(st.integers(0, max_initial), min_size=n, max_size=n)),
+                       dtype=float)
     mass = np.array(draw(st.lists(st.integers(1, 10), min_size=k, max_size=k)), dtype=float)
     base = np.array(draw(st.lists(st.floats(0.1, 2.0), min_size=n, max_size=n)))
     weight = st.one_of(st.just(0.0), st.floats(-2.0, -0.01), st.floats(0.01, 2.0))
     weights = np.array(draw(st.lists(weight, min_size=n, max_size=n)))
-    table = LossTable(group_losses=np.array(losses, dtype=float),
+    table = LossTable(initial_values=initial, values=initial - np.array(losses, dtype=float),
                       probabilities=mass / mass.sum())
     state = PortfolioState(weights=weights, returns=np.zeros(n), cost_coefficients=np.ones(n),
                            base_value=1.0, base_weights=base, frozen=weights == 0.0)
@@ -338,19 +345,40 @@ class TestStandaloneByHomogeneity:
         scale = state.weights / state.base_weights
         # rel 1e-14, with a floor of 1e-14 of the column's largest scaled loss
         # for tails whose sum cancels
-        floor = 1e-14 * np.abs(scale) * np.abs(table.group_losses).max(axis=0)
+        floor = 1e-14 * np.abs(scale) * np.abs(loss_matrix(table)).max(axis=0)
         for beta in (beta1, beta2, beta1):  # the cache is keyed by beta
             rep = report(table, state, beta)
             for n in range(state.n_groups):
                 want = standalone_cvar(table, state, n, beta)
                 assert rep.standalone_cvar[n] == pytest.approx(want, rel=1e-14, abs=floor[n])
             total = portfolio_losses(table, state)
-            size = np.abs(table.group_losses @ np.abs(scale)).max() / (1.0 - beta)
+            size = np.abs(loss_matrix(table) @ np.abs(scale)).max() / (1.0 - beta)
             assert rep.cvar == pytest.approx(cvar(total, table.probabilities, beta),
                                              rel=1e-14, abs=1e-14 * size)
             np.testing.assert_allclose(rep.contributions,
                                        risk_contributions(table, state, beta),
                                        rtol=1e-14, atol=1e-14 * size)
+
+    @given(integer_tables(max_initial=20), st.floats(0.0, 0.99))
+    @settings(max_examples=200, deadline=None)
+    def test_losses_from_the_factors_match_the_loss_matrix(self, drawn, beta):
+        """The losses x0 @ s - V @ s, the contributions and CVaR against the
+        explicit Z = x0 - V.  Bound: rel 1e-14, with a floor of 1e-14 of the
+        largest scaled term (|x0| + |V|) |s| that a cancelling sum adds up, of
+        the row for the losses and CVaR, of the column for the contributions."""
+        table, state = drawn
+        scale = state.weights / state.base_weights
+        terms = (np.abs(table.initial_values) + np.abs(table.values)) * np.abs(scale)
+        losses = loss_matrix(table) @ scale
+        row_floor = 1e-14 * terms.sum(axis=1)
+        got = portfolio_losses(table, state)
+        assert np.isclose(got, losses, rtol=1e-14, atol=row_floor).all(), (got, losses)
+        rep = report(table, state, beta)
+        assert rep.cvar == pytest.approx(cvar(losses, table.probabilities, beta),
+                                         rel=1e-14, abs=row_floor.max())
+        want = risk_contributions(table, state, beta)
+        assert np.isclose(rep.contributions, want, rtol=1e-14,
+                          atol=1e-14 * terms.max(axis=0)).all(), (rep.contributions, want)
 
     def test_negative_weights_match_slow_path(self):
         """Without clamping, weights cross zero and the standalone CVaRs of
@@ -407,6 +435,24 @@ class TestStandaloneByHomogeneity:
         assert len(res.records) == 21
         assert scanned == []
 
+    @pytest.mark.parametrize("weight_scale", (1.0, 2.0))
+    def test_overflowing_factor_products_are_a_data_error(self, weight_scale):
+        """Z @ s is finite in every row, but V @ s overflows in the first; at
+        twice the base weights x0 @ s overflows too, and the losses are
+        inf - inf.  Either ends in the tail split's DataError, with no warning."""
+        big = np.finfo(float).max
+        matrix = ScenarioMatrix(initial_values=[0.45 * big, 0.45 * big],
+                                values=[[0.9 * big, 0.9 * big], [0.46 * big, 0.44 * big],
+                                        [0.44 * big, 0.46 * big], [0.45 * big, 0.43 * big]],
+                                probabilities=np.full(4, 0.25))
+        state = initial_state(matrix, 0.0)
+        state = dataclasses.replace(state, weights=state.weights * weight_scale)
+        cfg = ContinuationConfig(objective=ObjectiveKind.MIN_RISK,
+                                 mode=ConstraintMode(ConstraintVariant.REVENUE_ONLY),
+                                 beta=0.5, delta_c=1e-3, total_cost=0.01)
+        with pytest.raises(DataError, match="^losses must all be finite$"):
+            run(matrix, state, cfg)
+
     def test_overflowing_portfolio_losses_are_a_data_error(self):
         """Every cell is finite, but Z @ s overflows in the first row."""
         big = -np.finfo(float).max / 1.5
@@ -431,14 +477,58 @@ class TestStandaloneByHomogeneity:
 
     def test_table_arrays_are_read_only(self):
         losses = np.array([[1.0, 2.0], [3.0, -1.0]])
+        initial = np.zeros(2)
+        values = -losses
         probs = np.array([0.4, 0.6])
-        table = LossTable(group_losses=losses, probabilities=probs)
-        with pytest.raises(ValueError):
-            table.group_losses[0, 0] = 5.0
-        with pytest.raises(ValueError):
-            table.probabilities[0] = 0.5
-        losses[0, 0] = 5.0  # the caller's own arrays stay writeable
+        table = LossTable(initial_values=initial, values=values, probabilities=probs)
+        for name, index in (("initial_values", 0), ("values", (0, 0)), ("probabilities", 0)):
+            with pytest.raises(ValueError):
+                getattr(table, name)[index] = 5.0
+        initial[0] = 5.0  # the caller's own arrays stay writeable
+        values[0, 0] = 5.0
         probs[0] = 0.5
+
+    def test_table_is_a_view_of_the_matrix(self):
+        """``build_losses`` copies nothing, and the table cannot write to the matrix."""
+        matrix, _ = small_portfolio(seed=4)
+        table = build_losses(matrix)
+        for name in ("initial_values", "values", "probabilities"):
+            assert np.shares_memory(getattr(table, name), getattr(matrix, name))
+            with pytest.raises(ValueError):
+                getattr(table, name)[0] = 5.0
+
+
+class TestMemory:
+    """No K x N array is formed during a run or a report: on a K=20,000,
+    N=50 table (8 MB) the traced peak stays below half of the table's size."""
+
+    @pytest.fixture(scope="class")
+    def portfolio(self):
+        return small_portfolio(seed=5, n=50, k=20_000)
+
+    @staticmethod
+    def traced(call):
+        """``call()`` and the peak of the memory it allocated."""
+        tracemalloc.start()
+        try:
+            return call(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_run(self, portfolio):
+        matrix, state = portfolio
+        cfg = ContinuationConfig(objective=ObjectiveKind.MIN_RISK,
+                                 mode=ConstraintMode(ConstraintVariant.REVENUE_ONLY),
+                                 beta=0.9, delta_c=1e-3, total_cost=5e-3)
+        result, peak = self.traced(lambda: run(matrix, state, cfg))
+        assert len(result.records) == 6
+        assert peak < matrix.values.nbytes / 2
+
+    def test_report(self, portfolio):
+        """The ``analyze`` path once the file is read."""
+        matrix, state = portfolio
+        _, peak = self.traced(lambda: report(build_losses(matrix), state, 0.9))
+        assert peak < matrix.values.nbytes / 2
 
 
 class TestValidation:
