@@ -10,7 +10,7 @@ initial values x0 and scenario values V.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,6 +33,16 @@ def _finite(arr, name):
     return arr
 
 
+def _finite_by_sum(arr, name):
+    """``_finite`` without a bool array the size of ``arr``: a NaN or +-inf
+    entry makes the sum non-finite, and only then (or if a finite sum
+    overflows) does the exact scan run."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = arr.sum()
+    if not math.isfinite(total):
+        _finite(arr, name)
+
+
 @dataclass
 class ScenarioMatrix:
     """K scenario rows of group values plus occurrence likelihoods.
@@ -53,7 +63,7 @@ class ScenarioMatrix:
         if self.values.ndim != 2:
             raise DataError(f"values must be a K x N matrix, got shape {self.values.shape}")
         for name in ("initial_values", "values", "probabilities"):
-            _finite(getattr(self, name), name)
+            _finite_by_sum(getattr(self, name), name)
         k, n = self.values.shape
         if n < 2:
             raise DataError(f"need at least 2 groups, got {n}")
@@ -74,7 +84,8 @@ class ScenarioMatrix:
             total_value = float(self.initial_values.sum())
         if not math.isfinite(total_value):
             raise DataError("initial_values must sum to a finite total")
-        if n >= 2 and np.all(self.values == self.values[:, :1]):
+        first = self.values[:, 0]
+        if all(np.array_equal(first, column) for column in self.values.T[1:]):
             raise DataError("all scenario columns are identical")
         if not self.group_ids:
             self.group_ids = tuple(f"g{i + 1}" for i in range(n))
@@ -105,16 +116,20 @@ class LossTable:
     allocation, held as the two factors of the scenario matrix.
 
     All three arrays are read-only views: of the matrix's own arrays when
-    built by ``build_losses``, which copies nothing.  ``report`` caches the
-    CVaR of each column in ``_column_cvars`` for the life of the table, so a
+    built by ``build_losses``, which copies nothing.  ``report`` keeps two
+    memos on the table for its whole life: the CVaR of each column in
+    ``_column_cvars`` and the last tail set with its Euler numerator in
+    ``_tail_memo``.  Both are computed from the arrays as they were, so a
     caller who edits their matrix builds a new table.
     """
 
     initial_values: np.ndarray
     values: np.ndarray
     probabilities: np.ndarray
-    # (beta, sign) -> cvar(sign * column) per column, NaN until a report needs it
+    # beta -> 3 x N rows cvar(-column), 0, cvar(column), NaN until a report needs one
     _column_cvars: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # beta -> (TailSet, strict-tail rows, atom rows, sum(t) * x0 - t @ V[rows])
+    _tail_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.initial_values = _read_only(_vector(self.initial_values, "initial_values"))
@@ -413,23 +428,26 @@ def dar(contributions, state):
 def _standalone_cvars(table, scale, beta):
     """Every group's standalone CVaR by positive homogeneity of CVaR.
 
-    s * cvar(z) for s > 0, |s| * cvar(-z) for s < 0 and exactly 0 for s = 0.
-    Each column's cvar(z) or cvar(-z) is computed the first time it is needed
-    and kept on the table for later calls with the same beta; the column
-    z = x0[n] - V[:, n] (or -z = V[:, n] - x0[n]) is formed only then.
+    s * cvar(z) for s > 0, |s| * cvar(-z) for s < 0 and exactly 0 for s = 0:
+    one product |s| * known[sign(s) + 1, n] with the table's 3 x N rows
+    cvar(-z), 0 and cvar(z) for this beta.  A column's cvar(z) or cvar(-z)
+    is NaN until a report first needs it, which the NaN sum shows; only then
+    is the column z = x0[n] - V[:, n] (or -z = V[:, n] - x0[n]) formed.
     """
-    out = np.zeros(scale.shape)
-    for sign, side in ((1.0, scale > 0.0), (-1.0, scale < 0.0)):
-        if not side.any():
-            continue
-        known = table._column_cvars.get((beta, sign))
-        if known is None:
-            known = table._column_cvars[beta, sign] = np.full(scale.shape, np.nan)
-        for n in np.flatnonzero(side & np.isnan(known)):
+    known = table._column_cvars.get(beta)
+    if known is None:
+        known = table._column_cvars[beta] = np.full((3, scale.size), np.nan)
+        known[1] = 0.0
+    side = np.sign(scale).astype(np.intp)
+    side += 1
+    cols = np.arange(scale.size)
+    out = np.abs(scale) * known[side, cols]
+    if math.isnan(out.sum()):
+        for n in np.flatnonzero(np.isnan(known[side, cols])):
             x0, column = table.initial_values[n], table.values[:, n]
-            signed = x0 - column if sign > 0.0 else column - x0
-            known[n] = cvar(signed, table.probabilities, beta)
-        out[side] = np.abs(scale[side]) * known[side]
+            signed = x0 - column if side[n] == 2 else column - x0
+            known[side[n], n] = cvar(signed, table.probabilities, beta)
+        out = np.abs(scale) * known[side, cols]
     return out
 
 
@@ -451,23 +469,51 @@ class RiskReport:
     tail_signature: tuple
 
 
+def _tail(table, total, beta):
+    """The tail split of the losses ``total`` and its Euler numerator
+    sum(t) * x0 - t @ V[rows] over the rows of nonzero tail weight t.
+
+    The table keeps both for this beta, with the strict-tail and atom rows,
+    and they are reused while they stand: the losses are finite (the one dot
+    product of the tail split), the atom rows are still tied at v, every
+    strict-tail row is above v and no other row reaches v.  The rows above
+    and at VaR are then the kept ones, so P(L < v) and P(L <= v) are too: v
+    is VaR, and the split fraction, tail weights and signature are the kept
+    ones.  Otherwise the losses are split anew and the memo replaced.
+    """
+    memo = table._tail_memo.get(beta)
+    if memo is not None and math.isfinite(np.vdot(table.probabilities, total)):
+        ts, above, at, numerator = memo
+        v = total[at[0]]
+        if ((total[at] == v).all() and (above.size == 0 or total[above].min() > v)
+                and np.count_nonzero(total >= v) == above.size + at.size):
+            return replace(ts, var=float(v)), numerator
+    ts = tail_split(total, table.probabilities, beta)
+    rows = (ts.weights != 0.0).nonzero()[0]
+    tail = ts.weights[rows]
+    numerator = tail.sum() * table.initial_values - tail @ table.values[rows]
+    table._tail_memo[beta] = (ts, np.array(ts.signature[0], dtype=np.intp),
+                              np.array(ts.signature[1], dtype=np.intp), numerator)
+    return ts, numerator
+
+
 def report(table, state, beta):
     """Evaluate every risk measure and index at the given state.
 
     No K x N array is formed: with s = w / w_base the losses are
     x0 @ s - V @ s, and the Euler contributions (tail weights @ Z) * s are
     (sum(t) * x0 - t @ V[rows]) * s / (1 - beta) over the rows of nonzero
-    tail weight t only.
+    tail weight t only.  Both depend only on the tail rows, so the table
+    keeps the last ones for this beta and a report re-checks them in one
+    O(K) pass before it splits anew (``_tail``).  That memo lives as long as
+    the table, so an edited matrix needs a new table.
     """
     scale = state.weights / state.base_weights
     total = portfolio_losses(table, state)
-    ts = tail_split(total, table.probabilities, beta)
+    ts, numerator = _tail(table, total, beta)
     inv_tail = 1.0 / (1.0 - beta)
     cvar_total = float(ts.weights @ total) * inv_tail
-    rows = (ts.weights != 0.0).nonzero()[0]
-    tail = ts.weights[rows]
-    contributions = ((tail.sum() * table.initial_values - tail @ table.values[rows])
-                     * scale * inv_tail)
+    contributions = numerator * scale * inv_tail
     dar_values = dar(contributions, state)
     standalone = _standalone_cvars(table, scale, beta)
     standalone_sum = float(standalone.sum())

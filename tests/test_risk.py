@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cvarpath import risk
+from cvarpath import continuation, risk
 from cvarpath import (
     ConstraintMode,
     ConstraintVariant,
@@ -498,9 +498,137 @@ class TestStandaloneByHomogeneity:
                 getattr(table, name)[0] = 5.0
 
 
+@st.composite
+def weight_moves(draw, state):
+    """Up to six states reached by small moves from ``state``: the same
+    weights again, all of them scaled by one factor (every loss scales, ties
+    between equal rows stay), each active weight moved by up to 5% or 30%,
+    which keeps some tail sets and changes others, or integer scales
+    s = w / w_base, whose integer losses tie rows that the next move parts."""
+    states = [state]
+    for _ in range(draw(st.integers(1, 6))):
+        weights = states[-1].weights
+        kind = draw(st.sampled_from(("same", "scale", "move", "integer")))
+        if kind == "integer":
+            scales = draw(arrays(np.float64, weights.size,
+                                 elements=st.sampled_from((-2, -1, 1, 2))))
+            weights = np.where(weights == 0.0, 0.0, scales * state.base_weights)
+        elif kind == "scale":
+            weights = weights * draw(st.floats(0.9, 1.1))
+        elif kind == "move":
+            size = draw(st.sampled_from((0.05, 0.3)))
+            moves = draw(arrays(np.float64, weights.size, elements=st.floats(-size, size)))
+            weights = weights * (1.0 + moves)
+        states.append(states[-1].with_weights(weights))
+    return states
+
+
+def count_report_splits(monkeypatch, log):
+    """Log "split" for each ``tail_split`` call of ``report``'s own, not for
+    those inside the standalone column CVaRs."""
+    split, column_cvar = risk.tail_split, risk.cvar
+    in_cvar = []
+
+    def counted(*args):
+        if not in_cvar:
+            log.append("split")
+        return split(*args)
+
+    def cvar(*args):
+        in_cvar.append(True)
+        try:
+            return column_cvar(*args)
+        finally:
+            in_cvar.pop()
+
+    monkeypatch.setattr(risk, "tail_split", counted)
+    monkeypatch.setattr(risk, "cvar", cvar)
+
+
+class TestTailMemo:
+    """``report`` re-checks the table's last tail set before it splits anew."""
+
+    @given(integer_tables(), st.one_of(st.just(0.0), st.sampled_from((0.5, 0.9)),
+                                       st.floats(0.0, 0.99)), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_warm_path_matches_a_fresh_table(self, drawn, beta, data):
+        """Along small weight moves, one table's reports against reports on a
+        fresh table at each state.  The warm path skips only the re-rounding
+        of P(L < VaR): VaR and the tail rows are identical, so are the
+        contributions and DaR where the split fractions agree, and CVaR,
+        beta_star and the diversification index agree within K eps."""
+        table, state = drawn
+        tol = table.probabilities.size * np.finfo(float).eps
+        for at in data.draw(weight_moves(state)):
+            warm = report(table, at, beta)
+            cold = report(build_losses(table), at, beta)
+            assert warm.var == cold.var
+            assert warm.tail_signature[:2] == cold.tail_signature[:2]
+            if warm.tail_signature[2] == cold.tail_signature[2]:
+                np.testing.assert_array_equal(warm.contributions, cold.contributions)
+                np.testing.assert_array_equal(warm.dar, cold.dar)
+            size = np.abs(portfolio_losses(table, at)).max() / (1.0 - beta)
+            assert abs(warm.cvar - cold.cvar) <= tol * size
+            assert abs(warm.beta_star - cold.beta_star) <= tol
+            np.testing.assert_array_equal(warm.standalone_cvar, cold.standalone_cvar)
+            standalone = abs(float(cold.standalone_cvar.sum()))
+            if standalone:
+                assert (abs(warm.diversification_index - cold.diversification_index)
+                        <= tol * size / standalone)
+            else:
+                assert np.isnan(warm.diversification_index)
+                assert np.isnan(cold.diversification_index)
+
+    def test_non_finite_loss_outside_the_tail_is_a_data_error(self):
+        """Row 0's loss is finite at the base weights and -inf at 1.3 times
+        them, outside the tail, where the other rows still match the tail
+        count: only the finiteness test stops the kept tail set."""
+        big = np.finfo(float).max
+        matrix = ScenarioMatrix(initial_values=[1.0, 1.0],
+                                values=[[0.4 * big, 0.4 * big], [0.5, 1.5], [1.5, 0.5],
+                                        [0.9, 1.2]],
+                                probabilities=np.full(4, 0.25))
+        state = initial_state(matrix, 0.0)
+        scaled = state.with_weights(state.weights * 1.3)
+        table = build_losses(matrix)
+        assert np.isfinite(report(table, state, 0.5).cvar)
+        with pytest.raises(DataError, match="^losses must all be finite$"):
+            report(table, scaled, 0.5)
+        cfg = ContinuationConfig(objective=ObjectiveKind.MIN_RISK,
+                                 mode=ConstraintMode(ConstraintVariant.REVENUE_ONLY),
+                                 beta=0.5, delta_c=1e-3, total_cost=0.01)
+        with pytest.raises(DataError, match="^losses must all be finite$"):
+            run(matrix, scaled, cfg)
+
+    @pytest.mark.parametrize("fixed_total_risk", (False, True))
+    def test_warm_path_fires(self, monkeypatch, fixed_total_risk):
+        """``report`` splits once, then once per step whose tail set differs
+        from the last record's; the report after a fixed-risk rescale never
+        splits, since scaling every weight scales every loss."""
+        log = []
+        count_report_splits(monkeypatch, log)
+        rescale = continuation.rescale_fixed_risk
+        monkeypatch.setattr(continuation, "rescale_fixed_risk",
+                            lambda *args: log.append("rescale") or rescale(*args))
+        matrix, state = small_portfolio(seed=0, n=6, k=300)
+        cfg = ContinuationConfig(objective=ObjectiveKind.MIN_RISK,
+                                 mode=ConstraintMode(ConstraintVariant.REVENUE_ONLY),
+                                 kappa_policy=FixedKappas(), beta=0.9, delta_c=1e-3,
+                                 total_cost=0.02, steady_state_tol=0.0,
+                                 fixed_total_risk=fixed_total_risk)
+        res = run(matrix, state, cfg)
+        assert len(res.records) == 21
+        signatures = [rec.tail_signature for rec in res.records]
+        changes = sum(a != b for a, b in zip(signatures, signatures[1:]))
+        assert log.count("split") == 1 + changes < len(res.records)
+        assert log.count("rescale") == (20 if fixed_total_risk else 0)
+        assert ("rescale", "split") not in zip(log, log[1:])
+
+
 class TestMemory:
-    """No K x N array is formed during a run or a report: on a K=20,000,
-    N=50 table (8 MB) the traced peak stays below half of the table's size."""
+    """No K x N array is formed during a run, a report or the checks of a new
+    matrix: on a K=20,000, N=50 table (8 MB) the traced peak stays below a
+    stated share of the table's size."""
 
     @pytest.fixture(scope="class")
     def portfolio(self):
@@ -529,6 +657,15 @@ class TestMemory:
         matrix, state = portfolio
         _, peak = self.traced(lambda: report(build_losses(matrix), state, 0.9))
         assert peak < matrix.values.nbytes / 2
+
+    def test_matrix_checks(self, portfolio):
+        """The finiteness and identical-column checks of a new matrix form
+        no K x N array: the peak stays below 1/16 of the table."""
+        matrix, _ = portfolio
+        _, peak = self.traced(lambda: ScenarioMatrix(
+            initial_values=matrix.initial_values, values=matrix.values,
+            probabilities=matrix.probabilities))
+        assert peak < matrix.values.nbytes / 16
 
 
 class TestValidation:
@@ -588,11 +725,33 @@ class TestValidation:
                                values=[[0.5, 1.5], [1.5, 0.5]],
                                probabilities=[0.5, 0.5])
 
+    def test_finite_values_whose_sum_overflows_pass(self):
+        """The sum that screens for finiteness overflows; the exact scan
+        that follows passes the matrix, without a warning."""
+        big = np.finfo(float).max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            matrix = ScenarioMatrix(initial_values=[1.0, 1.0],
+                                    values=[[big, big], [big, -big], [0.5, 1.5]],
+                                    probabilities=[0.25, 0.25, 0.5])
+        assert matrix.n_scenarios == 3
+
     def test_rejects_identical_columns(self):
         with pytest.raises(DataError):
             ScenarioMatrix(initial_values=[1.0, 1.0],
                            values=[[0.5, 0.5], [1.5, 1.5]],
                            probabilities=[0.5, 0.5])
+
+    def test_one_differing_column_passes(self):
+        """Columns are compared with the first until one differs."""
+        with pytest.raises(DataError, match="^all scenario columns are identical$"):
+            ScenarioMatrix(initial_values=[1.0, 1.0, 1.0],
+                           values=[[0.5, 0.5, 0.5], [1.5, 1.5, 1.5]],
+                           probabilities=[0.5, 0.5])
+        matrix = ScenarioMatrix(initial_values=[1.0, 1.0, 1.0],
+                                values=[[0.5, 0.5, 0.5], [1.5, 1.5, 1.25]],
+                                probabilities=[0.5, 0.5])
+        assert matrix.n_groups == 3
 
     def test_default_group_ids(self):
         matrix = random_matrix(np.random.default_rng(0), n=3)
