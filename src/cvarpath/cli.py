@@ -79,6 +79,8 @@ def _initial_state(matrix, returns, costs=None):
 
 
 def _run_analyze(args):
+    if not 0.0 <= args.beta < 1.0:  # as a run config's beta
+        raise ConfigError(f"--beta must be in [0, 1), got {args.beta!r}")
     matrix = read_scenario_file(args.scenarios)
     state = _initial_state(matrix, parse_vector(args.returns, "--returns"))
     rep = report(build_losses(matrix), state, args.beta)
@@ -163,6 +165,9 @@ def main(argv=None):
         return EXIT_DOMAIN
     except OSError as exc:
         print(f"error_code=io {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except MemoryError as exc:  # say, a scenario count whose table cannot be allocated
+        print(f"error_code=memory {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_DOMAIN
 
 

@@ -25,7 +25,10 @@ from .risk import build_losses, report
 
 FixedKappas = PathParams  # the policy of constant path rates at every step
 _AT_REST = FixedKappas()  # the default policy, and the rates of the step-0 record
-_MAX_STEPS = 10**6  # a flagship record holds about 6 KB, so this is about 6 GB of path
+# A record holds N floats and its other fields, plus 8 B per tail row when its
+# tail set is new (records share the signature while the set stands): about
+# 1.5 KB a record on the flagship path, so this is about 1.5 GB of path.
+_MAX_STEPS = 10**6
 
 
 @dataclass(frozen=True)

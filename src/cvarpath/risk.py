@@ -10,7 +10,7 @@ initial values x0 and scenario values V.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,6 +18,8 @@ from .errors import DataError, DomainError
 
 _PROB_TOL = 1e-12
 _CDF_SLACK = 1e-12
+# The Euler numerator gathers the tail rows of V about this many bytes at a time.
+_GATHER_BYTES = 256 * 1024
 
 
 def _vector(x, name):
@@ -119,8 +121,9 @@ class LossTable:
     built by ``build_losses``, which copies nothing.  ``report`` keeps two
     memos on the table for its whole life: the CVaR of each column in
     ``_column_cvars`` and the last tail set with its Euler numerator in
-    ``_tail_memo``.  Both are computed from the arrays as they were, so a
-    caller who edits their matrix builds a new table.
+    ``_tail_memo``, which holds arrays over the tail rows only.  Both are
+    computed from the arrays as they were, so a caller who edits their
+    matrix builds a new table.
     """
 
     initial_values: np.ndarray
@@ -128,7 +131,8 @@ class LossTable:
     probabilities: np.ndarray
     # beta -> 3 x N rows cvar(-column), 0, cvar(column), NaN until a report needs one
     _column_cvars: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # beta -> (TailSet, strict-tail rows, atom rows, sum(t) * x0 - t @ V[rows])
+    # beta -> (signature, beta_star, rows of nonzero tail weight t, t at those rows,
+    #          sum(t) * x0 - t @ V[rows])
     _tail_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -276,8 +280,10 @@ class TailSet:
 
     ``weights`` holds the effective probability mass each scenario contributes
     to the tail; scenarios at the VaR atom carry only the split fraction.
-    ``signature`` identifies the tail set (strict-tail indices, atom indices,
-    atom fraction) for kink detection.
+    ``signature`` identifies the tail set for kink detection: the ascending
+    strict-tail rows and atom rows, each as the bytes of an ``np.intp``
+    array (8 B a row; ``np.frombuffer`` reads them back), and the atom
+    fraction.
     """
 
     var: float
@@ -343,7 +349,7 @@ def _tail_inputs(losses, probabilities):
 
 
 def _select_tail(losses, probabilities, beta):
-    """The selection behind ``var`` and ``tail_split``.
+    """The selection behind ``var``, ``tail_split`` and ``cvar``.
 
     Returns the validated losses and probabilities, the ascending indices of
     the candidate rows (loss >= cut), VaR and beta_star = P(L < VaR).
@@ -387,6 +393,17 @@ def var(losses, probabilities, beta):
     return _select_tail(losses, probabilities, beta)[3]
 
 
+def _atom_split(losses, probabilities, rows, v, beta_star, beta):
+    """The candidate ``rows`` split at VaR ``v``: the rows above it, the rows
+    at it, their probability mass and the share of it the tail takes."""
+    candidates = losses[rows]
+    above = rows[candidates > v]
+    at = rows[candidates == v]
+    atom_mass = float(probabilities[at].sum())
+    fraction = min(max((beta_star + atom_mass - beta) / atom_mass, 0.0), 1.0)
+    return above, at, atom_mass, fraction
+
+
 def tail_split(losses, probabilities, beta):
     """VaR plus the pro-rata tail mass of every scenario (atom split included).
 
@@ -396,26 +413,27 @@ def tail_split(losses, probabilities, beta):
     weight 0.
     """
     losses, probabilities, rows, v, beta_star = _select_tail(losses, probabilities, beta)
-    candidates = losses[rows]
-    above = rows[candidates > v]
-    at = rows[candidates == v]
-    atom_mass = float(probabilities[at].sum())
-    beta_star_prime = beta_star + atom_mass
-    fraction = (beta_star_prime - beta) / atom_mass
-    fraction = min(max(fraction, 0.0), 1.0)
+    above, at, atom_mass, fraction = _atom_split(losses, probabilities, rows, v, beta_star,
+                                                 beta)
     weights = np.zeros(losses.size)
     weights[above] = probabilities[above]
     weights[at] = probabilities[at] * fraction
-    signature = (tuple(above.tolist()), tuple(at.tolist()), fraction)
     return TailSet(var=v, beta=beta, beta_star=beta_star,
-                   beta_star_prime=beta_star_prime, weights=weights,
-                   signature=signature)
+                   beta_star_prime=beta_star + atom_mass, weights=weights,
+                   signature=(above.tobytes(), at.tobytes(), fraction))
 
 
 def cvar(losses, probabilities, beta):
-    """Atom-splitting CVaR: (partial tail expectation + split mass x VaR) / (1 - beta)."""
-    ts = tail_split(losses, probabilities, beta)
-    return float(ts.weights @ np.asarray(losses, dtype=float)) / (1.0 - beta)
+    """Atom-splitting CVaR: (partial tail expectation + split mass x VaR) / (1 - beta).
+
+    Sums the selected tail rows alone; ``tail_split(...).weights @ losses``
+    is the same sum over every row.
+    """
+    losses, probabilities, rows, v, beta_star = _select_tail(losses, probabilities, beta)
+    above, _, atom_mass, fraction = _atom_split(losses, probabilities, rows, v, beta_star,
+                                                beta)
+    tail_mean = float(probabilities[above] @ losses[above]) + fraction * atom_mass * v
+    return tail_mean / (1.0 - beta)
 
 
 def dar(contributions, state):
@@ -469,50 +487,62 @@ class RiskReport:
     tail_signature: tuple
 
 
-def _tail(table, total, beta):
-    """The tail split of the losses ``total`` and its Euler numerator
-    sum(t) * x0 - t @ V[rows] over the rows of nonzero tail weight t.
+def _euler_numerator(table, rows, tail):
+    """sum(t) * x0 - t @ V[rows], with the rows of V gathered about
+    ``_GATHER_BYTES`` at a time rather than as one (rows x N) block."""
+    values = table.values
+    step = max(1, _GATHER_BYTES // values[0].nbytes)
+    gathered = np.zeros(values.shape[1])
+    for start in range(0, rows.size, step):
+        gathered += tail[start:start + step] @ values[rows[start:start + step]]
+    return tail.sum() * table.initial_values - gathered
 
-    The table keeps both for this beta, with the strict-tail and atom rows,
-    and they are reused while they stand: the losses are finite (the one dot
-    product of the tail split), the atom rows are still tied at v, every
-    strict-tail row is above v and no other row reaches v.  The rows above
-    and at VaR are then the kept ones, so P(L < v) and P(L <= v) are too: v
-    is VaR, and the split fraction, tail weights and signature are the kept
-    ones.  Otherwise the losses are split anew and the memo replaced.
+
+def _tail(table, total, beta):
+    """VaR of the losses ``total`` and the table's tail memo for this beta:
+    the signature, beta_star, the rows of nonzero tail weight t, t at those
+    rows and the Euler numerator sum(t) * x0 - t @ V[rows].
+
+    The memo is reused while its tail set stands: the losses are finite (the
+    one dot product of the tail split), the atom rows are still tied at v,
+    every strict-tail row is above v and no other row reaches v.  The rows
+    above and at VaR are then the kept ones, so P(L < v) and P(L <= v) are
+    too: v is VaR, and the split fraction, tail weights and signature are
+    the kept ones.  Otherwise the losses are split anew and the memo
+    replaced.  The memo holds no K-length array and no Python object per row.
     """
     memo = table._tail_memo.get(beta)
     if memo is not None and math.isfinite(np.vdot(table.probabilities, total)):
-        ts, above, at, numerator = memo
+        above, at = (np.frombuffer(kept, dtype=np.intp) for kept in memo[0][:2])
         v = total[at[0]]
         if ((total[at] == v).all() and (above.size == 0 or total[above].min() > v)
                 and np.count_nonzero(total >= v) == above.size + at.size):
-            return replace(ts, var=float(v)), numerator
+            return float(v), memo
     ts = tail_split(total, table.probabilities, beta)
     rows = (ts.weights != 0.0).nonzero()[0]
     tail = ts.weights[rows]
-    numerator = tail.sum() * table.initial_values - tail @ table.values[rows]
-    table._tail_memo[beta] = (ts, np.array(ts.signature[0], dtype=np.intp),
-                              np.array(ts.signature[1], dtype=np.intp), numerator)
-    return ts, numerator
+    memo = table._tail_memo[beta] = (ts.signature, ts.beta_star, rows, tail,
+                                     _euler_numerator(table, rows, tail))
+    return ts.var, memo
 
 
 def report(table, state, beta):
     """Evaluate every risk measure and index at the given state.
 
-    No K x N array is formed: with s = w / w_base the losses are
-    x0 @ s - V @ s, and the Euler contributions (tail weights @ Z) * s are
-    (sum(t) * x0 - t @ V[rows]) * s / (1 - beta) over the rows of nonzero
-    tail weight t only.  Both depend only on the tail rows, so the table
-    keeps the last ones for this beta and a report re-checks them in one
-    O(K) pass before it splits anew (``_tail``).  That memo lives as long as
-    the table, so an edited matrix needs a new table.
+    No K x N array is formed: with s = w / w_base the losses L are
+    x0 @ s - V @ s, CVaR is t @ L[rows] / (1 - beta) and the Euler
+    contributions (tail weights @ Z) * s are
+    (sum(t) * x0 - t @ V[rows]) * s / (1 - beta), over the rows of nonzero
+    tail weight t only.  The numerator depends only on the tail rows, so
+    the table keeps the last ones for this beta and a report re-checks them
+    in one O(K) pass before it splits anew (``_tail``).  That memo lives as
+    long as the table, so an edited matrix needs a new table.
     """
     scale = state.weights / state.base_weights
     total = portfolio_losses(table, state)
-    ts, numerator = _tail(table, total, beta)
+    v, (signature, beta_star, rows, tail, numerator) = _tail(table, total, beta)
     inv_tail = 1.0 / (1.0 - beta)
-    cvar_total = float(ts.weights @ total) * inv_tail
+    cvar_total = float(tail @ total[rows]) * inv_tail
     contributions = numerator * scale * inv_tail
     dar_values = dar(contributions, state)
     standalone = _standalone_cvars(table, scale, beta)
@@ -524,10 +554,9 @@ def report(table, state, beta):
     group_values = state.weights * x0
     group_re2ri = np.divide(state.returns * group_values, standalone,
                             out=np.full(standalone.shape, np.nan), where=standalone != 0.0)
-    return RiskReport(var=ts.var, cvar=cvar_total, contributions=contributions,
+    return RiskReport(var=v, cvar=cvar_total, contributions=contributions,
                       dar=dar_values, standalone_cvar=standalone,
                       diversification_index=diversification,
                       total_return=total_return, total_return_to_risk=total_re2ri,
                       group_return_to_risk=group_re2ri, revenue=state.revenue,
-                      beta_star=ts.beta_star,
-                      tail_signature=ts.signature)
+                      beta_star=beta_star, tail_signature=signature)

@@ -26,7 +26,10 @@ def tail_split_by_sort(losses, probabilities, beta):
     """``risk.tail_split`` by a CDF scan over every loss, all K of them sorted.
 
     Ties are merged into atoms with ``np.unique``; VaR is the first atom whose
-    CDF reaches beta and the atom at VaR carries the split fraction.
+    CDF reaches beta and the atom at VaR carries the split fraction.  The
+    signature holds the strict-tail and atom rows of its own masks in the
+    engine's form, the bytes of ascending ``np.intp`` arrays, so equal
+    signatures mean equal index sets.
     """
     losses = np.asarray(losses, dtype=float)
     probabilities = np.asarray(probabilities, dtype=float)
@@ -45,7 +48,7 @@ def tail_split_by_sort(losses, probabilities, beta):
     fraction = min(max((beta_star_prime - beta) / atom_mass, 0.0), 1.0)
     weights = np.where(above, probabilities, 0.0)
     weights[at] = probabilities[at] * fraction
-    signature = (tuple(np.flatnonzero(above)), tuple(np.flatnonzero(at)), fraction)
+    signature = (np.flatnonzero(above).tobytes(), np.flatnonzero(at).tobytes(), fraction)
     return TailSet(var=v, beta=beta, beta_star=beta_star,
                    beta_star_prime=beta_star_prime, weights=weights,
                    signature=signature)

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import cvarpath
 from cvarpath import read_scenario_file
+from cvarpath import cli
 from cvarpath.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
 from conftest import small_portfolio
 
@@ -77,11 +78,14 @@ class TestAnalyze:
         assert code == EXIT_DOMAIN
         assert "error_code=io" in capsys.readouterr().err
 
-    def test_bad_beta_is_domain_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("beta", ("nan", "1", "-0.1", "inf", "1.5"))
+    def test_bad_beta_is_config_error(self, tmp_path, capsys, beta):
+        """As ``beta`` in a run config: a config error, naming the option."""
         out = gen_file(tmp_path)
-        code = main(["analyze", "--scenarios", str(out), "--beta", "1.5"])
+        capsys.readouterr()
+        code = main(["analyze", "--scenarios", str(out), "--beta", beta])
         assert code == EXIT_DOMAIN
-        assert "error_code=domain" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error_code=config --beta must be in [0, 1)")
 
 
 class TestOptimize:
@@ -505,6 +509,37 @@ class TestConvergence:
         text = capsys.readouterr().out
         assert "delta_c,terminal_cvar_rel,error,failed,reason" in text
         assert "slope=" in text
+
+
+class TestOutOfMemory:
+    """A table too large to allocate (say ``gen --scenarios 1000000000000``)
+    ends in exit 1 and one ``error_code=memory`` line.  The generator and the
+    reader are replaced by ones that raise at once, so nothing is allocated."""
+
+    @pytest.mark.parametrize("error,message", [
+        (MemoryError("Unable to allocate 7.28 TiB for an array"),
+         "Unable to allocate 7.28 TiB for an array"),
+        (MemoryError(), "out of memory"),
+    ])
+    @pytest.mark.parametrize("command", ("gen", "analyze", "optimize"))
+    def test_one_error_line(self, tmp_path, capsys, monkeypatch, command, error, message):
+        def refuse(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "generate", refuse)
+        monkeypatch.setattr(cli, "read_scenario_file", refuse)
+        scen = tmp_path / "scen.csv"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"scenarios = {scen}\nobjective = min_risk\nmode = revenue_only\n"
+                       "beta = 0.9\ndelta_c = 1e-3\ntotal_cost = 0.01\nreturns = 0.05\n"
+                       f"output = {tmp_path / 'path.csv'}\n")
+        argv = {"gen": ["gen", "--seed", "1", "--groups", "2", "--scenarios", "10",
+                        "--out", str(scen)],
+                "analyze": ["analyze", "--scenarios", str(scen), "--beta", "0.9"],
+                "optimize": ["optimize", "--config", str(cfg)]}[command]
+        assert main(argv) == EXIT_DOMAIN
+        assert capsys.readouterr().err == f"error_code=memory {message}\n"
+        assert not scen.exists()
 
 
 class TestUsage:

@@ -166,6 +166,17 @@ class TestTailSelection:
         assert got.var == want.var == var(losses, probs, beta)
         assert got.signature[:2] == want.signature[:2]
 
+    @given(loss_distributions())
+    @settings(max_examples=400, deadline=None)
+    def test_cvar_sums_the_dense_split(self, drawn):
+        """``cvar`` sums the selected tail rows alone; the dense split's
+        ``weights @ losses``, a sum over every row, is its slow path.  Both
+        sum at most K terms of the tail mean, so they agree within K eps."""
+        losses, probs, beta = drawn
+        want = tail_split(losses, probs, beta).weights @ losses / (1.0 - beta)
+        tol = losses.size * np.finfo(float).eps * np.abs(losses).max()
+        assert abs(cvar(losses, probs, beta) - want) <= tol
+
 
 class TestCvarOracle:
     def test_matches_oracle_on_random_distributions(self):
@@ -524,25 +535,11 @@ def weight_moves(draw, state):
 
 
 def count_report_splits(monkeypatch, log):
-    """Log "split" for each ``tail_split`` call of ``report``'s own, not for
-    those inside the standalone column CVaRs."""
-    split, column_cvar = risk.tail_split, risk.cvar
-    in_cvar = []
-
-    def counted(*args):
-        if not in_cvar:
-            log.append("split")
-        return split(*args)
-
-    def cvar(*args):
-        in_cvar.append(True)
-        try:
-            return column_cvar(*args)
-        finally:
-            in_cvar.pop()
-
-    monkeypatch.setattr(risk, "tail_split", counted)
-    monkeypatch.setattr(risk, "cvar", cvar)
+    """Log "split" for each ``tail_split`` call.  Only ``report``'s own are
+    counted: ``cvar``, behind the standalone column CVaRs, sums the rows it
+    selects and builds no ``TailSet``."""
+    split = risk.tail_split
+    monkeypatch.setattr(risk, "tail_split", lambda *args: log.append("split") or split(*args))
 
 
 class TestTailMemo:
@@ -599,6 +596,48 @@ class TestTailMemo:
                                  beta=0.5, delta_c=1e-3, total_cost=0.01)
         with pytest.raises(DataError, match="^losses must all be finite$"):
             run(matrix, scaled, cfg)
+
+    def test_memo_keeps_tail_rows_only(self):
+        """After a report the memo and the signature hold bytes and arrays
+        over the tail rows (or the N groups): no Python int per tail row and
+        no K-length vector."""
+        matrix, state = small_portfolio(seed=0, n=6, k=300)
+        table = build_losses(matrix)
+        rep = report(table, state, 0.9)
+        signature, beta_star, *arrays = table._tail_memo[0.9]
+        assert signature is rep.tail_signature
+        assert beta_star == rep.beta_star
+        above, at, fraction = signature
+        assert type(above) is type(at) is bytes and type(fraction) is float
+        tail_rows = (len(above) + len(at)) // np.dtype(np.intp).itemsize
+        assert 0 < tail_rows < 300 // 2
+        for arr in arrays:
+            assert type(arr) is np.ndarray and arr.size <= max(tail_rows, 6)
+
+    @pytest.mark.parametrize("rows_per_chunk", (1, 3))
+    def test_chunked_numerator_matches_one_block(self, monkeypatch, rows_per_chunk):
+        """The Euler numerator summed over chunks of 1 or 3 gathered rows
+        against t @ V[rows] in one block, within rounding of the sums."""
+        matrix, state = small_portfolio(seed=3, n=6, k=310)
+        table = build_losses(matrix)
+        ts = tail_split(portfolio_losses(table, state), table.probabilities, 0.9)
+        rows = np.flatnonzero(ts.weights)
+        tail = ts.weights[rows]
+        assert rows.size % 3  # a last chunk shorter than the others
+        block = table.values[rows]
+        want = tail.sum() * table.initial_values - tail @ block
+        size = tail.sum() * np.abs(table.initial_values) + tail @ np.abs(block)
+        default = report(build_losses(matrix), state, 0.9)
+        monkeypatch.setattr(risk, "_GATHER_BYTES", rows_per_chunk * table.values[0].nbytes)
+        got = risk._euler_numerator(table, rows, tail)
+        np.testing.assert_allclose(got, want, rtol=0.0,
+                                   atol=rows.size * np.finfo(float).eps * size.max())
+        chunked = report(build_losses(matrix), state, 0.9)
+        assert chunked.tail_signature == default.tail_signature
+        scale = (state.weights / state.base_weights) / (1.0 - 0.9)
+        np.testing.assert_allclose(chunked.contributions, default.contributions, rtol=0.0,
+                                   atol=rows.size * np.finfo(float).eps
+                                   * (size * np.abs(scale)).max())
 
     @pytest.mark.parametrize("fixed_total_risk", (False, True))
     def test_warm_path_fires(self, monkeypatch, fixed_total_risk):
@@ -657,6 +696,29 @@ class TestMemory:
         matrix, state = portfolio
         _, peak = self.traced(lambda: report(build_losses(matrix), state, 0.9))
         assert peak < matrix.values.nbytes / 2
+
+    def test_records_keep_8_bytes_per_tail_row(self, portfolio):
+        """What a run's result keeps once it returns.  Each record holds N
+        floats and its fields (at most 4 KiB besides), plus its tail
+        signature: 8 B per tail row when its tail set is new, shared while
+        the set stands.  The tail is at most floor((1 - beta) K) + 2 rows
+        here (continuous losses: one atom row).  A Python int per tail row,
+        28 B plus an 8 B tuple slot, breaks this bound."""
+        matrix, state = portfolio
+        beta, n, k = 0.9, matrix.n_groups, matrix.n_scenarios
+        tail_rows = int((1.0 - beta) * k) + 2
+        bound = 6 * (8 * tail_rows + 8 * n + 4096)
+        cfg = ContinuationConfig(objective=ObjectiveKind.MIN_RISK,
+                                 mode=ConstraintMode(ConstraintVariant.REVENUE_ONLY),
+                                 beta=beta, delta_c=1e-3, total_cost=5e-3)
+        tracemalloc.start()
+        try:
+            result = run(matrix, state, cfg)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(result.records) == 6
+        assert kept < bound
 
     def test_matrix_checks(self, portfolio):
         """The finiteness and identical-column checks of a new matrix form
