@@ -3,6 +3,7 @@ and the plottable path table."""
 from __future__ import annotations
 
 import math
+import operator
 import re
 import sys
 import warnings
@@ -20,6 +21,8 @@ _NORMALIZE_BAND = (0.999, 1.001)
 _UNDECODED = re.compile("[\udc80-\udcff]")
 # The largest tail whose lognormal standard deviation, sqrt(exp(2 tail^2)), is finite.
 _MAX_TAIL = math.sqrt(math.log(sys.float_info.max) / 2.0)
+# `generate` draws and transforms its shocks about this many bytes of rows at a time.
+_CHUNK_BYTES = 256 * 1024
 
 PATH_COLUMNS = ("m", "c", "kappa1", "kappa2", "q", "Q", "cvar_rel", "return_rel",
                 "revenue_rel", "di_rel", "re2ri_rel", "clamped_count", "rescale_factor")
@@ -30,14 +33,19 @@ def _fmt(x):
 
 
 def write_scenarios(matrix, path):
-    """Serialize with 17 significant digits so a re-read is bit-identical."""
+    """Serialize with 17 significant digits so a re-read is bit-identical.
+
+    The rows are formatted one at a time, so no Python float is held for
+    more than one row of the table.  The bytes depend only on the matrix:
+    a `generate`d table writes the same file whatever chunk size filled it.
+    """
     # "%.17g" % x gives the digits of f"{x:.17g}"; one format per row
     row_format = ",".join(["%.17g"] * (matrix.n_groups + 1)) + "\n"
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("group,prob," + ",".join(matrix.group_ids) + "\n")
         handle.write("initial," + ",".join(map(_fmt, matrix.initial_values)) + "\n")
-        for p, row in zip(matrix.probabilities.tolist(), matrix.values.tolist()):
-            handle.write(row_format % (p, *row))
+        for p, row in zip(matrix.probabilities, matrix.values):
+            handle.write(row_format % (p, *row.tolist()))
 
 
 def _parse_float(token, line_no, what):
@@ -198,7 +206,8 @@ class GeneratorSpec:
 
     ``blocks`` lists (size, correlation) pairs summing to ``n_groups``;
     ``tail`` controls the lognormal shape of the loss marginals (larger is
-    heavier and more skewed).  Output is bit-identical per seed (PCG64).
+    heavier and more skewed).  Output is bit-identical per seed (PCG64), and
+    does not depend on the row chunks `generate` fills the table in.
     """
 
     seed: int
@@ -210,6 +219,17 @@ class GeneratorSpec:
     base_value: float = 100.0
 
     def __post_init__(self):
+        blocks = self.blocks
+        if blocks is None:
+            blocks = ((self.n_groups, 0.3),)
+        counts = [("seed", self.seed), ("n_groups", self.n_groups),
+                  ("n_scenarios", self.n_scenarios)]
+        counts += [("block size", size) for size, _ in blocks]
+        for name, value in counts:
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ConfigError(f"{name} must be an integer, got {value!r}") from None
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.n_groups < 2:
@@ -222,10 +242,7 @@ class GeneratorSpec:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ConfigError(f"{name} must be finite and positive, got {value!r}")
-        blocks = self.blocks
-        if blocks is None:
-            blocks = ((self.n_groups, 0.3),)
-        blocks = tuple((int(size), float(rho)) for size, rho in blocks)
+        blocks = tuple((operator.index(size), float(rho)) for size, rho in blocks)
         if sum(size for size, _ in blocks) != self.n_groups:
             raise ConfigError("block sizes must sum to the group count")
         for size, rho in blocks:
@@ -238,24 +255,44 @@ class GeneratorSpec:
 
 
 def generate(spec):
-    """Scenario matrix with block-correlated, positively skewed loss marginals."""
+    """Scenario matrix with block-correlated, positively skewed loss marginals.
+
+    Each block draws its K common factors, then its K x size idiosyncratic
+    shocks in row order, ``_CHUNK_BYTES`` of rows at a time: consecutive
+    row-major draws take the PCG64 stream exactly as one (K, size) draw does.
+    Each chunk is transformed in place and written into the one K x N table,
+    so no other array of that size is formed and the values do not depend on
+    the chunk size.
+    """
     rng = np.random.default_rng(spec.seed)
-    k = spec.n_scenarios
+    k, n = spec.n_scenarios, spec.n_groups
     tau = spec.tail
     mean_ln = math.exp(tau * tau / 2.0)
     sd_ln = math.sqrt((math.exp(tau * tau) - 1.0) * math.exp(tau * tau))
-    columns = []
-    for size, rho in spec.blocks:
-        common = rng.standard_normal((k, 1))
-        idio = rng.standard_normal((k, size))
-        shocks = math.sqrt(rho) * common + math.sqrt(1.0 - rho) * idio
-        columns.append((np.exp(tau * shocks) - mean_ln) / sd_ln)
-    standardized = np.hstack(columns)
-    n = spec.n_groups
     base = np.full(n, spec.base_value / n)
+    values = np.empty((k, n))
+    first = 0
     try:  # the floating-point flags catch an overflow without another pass over the table
         with np.errstate(over="raise", invalid="raise"):
-            values = base[None, :] - base[None, :] * spec.loss_scale * standardized
+            scale = base * spec.loss_scale
+            for size, rho in spec.blocks:
+                cols = slice(first, first + size)
+                first += size
+                common = rng.standard_normal((k, 1))
+                step = min(k, max(1, _CHUNK_BYTES // (8 * size)))
+                chunk = np.empty((step, size))
+                for start in range(0, k, step):
+                    shocks = chunk[:k - start]
+                    rows = slice(start, start + len(shocks))
+                    rng.standard_normal(out=shocks)
+                    shocks *= math.sqrt(1.0 - rho)
+                    shocks += math.sqrt(rho) * common[rows]
+                    shocks *= tau
+                    np.exp(shocks, out=shocks)
+                    shocks -= mean_ln
+                    shocks /= sd_ln
+                    shocks *= scale[cols]
+                    np.subtract(base[cols], shocks, out=values[rows, cols])
     except FloatingPointError:
         raise ConfigError(f"loss_scale {spec.loss_scale!r} and base_value {spec.base_value!r} "
                           "give non-finite scenario values") from None

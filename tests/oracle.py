@@ -9,11 +9,13 @@ and DaR is a central difference.  The Hessian sign check verifies the free-rate 
 to second order; no step needs it.  The tail-average CVaR stays in
 ``cvarpath.oracle``.
 """
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from cvarpath import DomainError, InfeasibleStepError, TailSet, cvar, portfolio_losses, tail_split
+from cvarpath import (DomainError, InfeasibleStepError, ScenarioMatrix, TailSet, cvar,
+                      portfolio_losses, tail_split)
 from cvarpath.projection import _project
 from cvarpath.risk import _CDF_SLACK
 
@@ -255,3 +257,27 @@ def finite_difference_dar(table, state, beta, n, epsilon):
     up, sig_up = evaluate(epsilon)
     down, sig_down = evaluate(-epsilon)
     return FiniteDifference(value=(up - down) / (2.0 * epsilon), kink=sig_up != sig_down)
+
+
+def generate_reference(spec):
+    """``data.generate`` as whole-array expressions: each block's (K, size)
+    shocks drawn at once, every transform a fresh K x size array, the blocks
+    joined with ``np.hstack``.  ``generate`` fills one table in row chunks
+    and must give the same bits."""
+    rng = np.random.default_rng(spec.seed)
+    k = spec.n_scenarios
+    tau = spec.tail
+    mean_ln = math.exp(tau * tau / 2.0)
+    sd_ln = math.sqrt((math.exp(tau * tau) - 1.0) * math.exp(tau * tau))
+    columns = []
+    for size, rho in spec.blocks:
+        common = rng.standard_normal((k, 1))
+        idio = rng.standard_normal((k, size))
+        shocks = math.sqrt(rho) * common + math.sqrt(1.0 - rho) * idio
+        columns.append((np.exp(tau * shocks) - mean_ln) / sd_ln)
+    standardized = np.hstack(columns)
+    n = spec.n_groups
+    base = np.full(n, spec.base_value / n)
+    with np.errstate(over="raise", invalid="raise"):
+        values = base[None, :] - base[None, :] * spec.loss_scale * standardized
+    return ScenarioMatrix(initial_values=base, values=values, probabilities=np.full(k, 1.0 / k))

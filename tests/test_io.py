@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cvarpath import (
     ConfigError,
@@ -31,6 +31,7 @@ from cvarpath import (
 )
 from cvarpath import data
 from conftest import random_matrix
+from oracle import generate_reference
 
 
 class TestScenarioRoundTrip:
@@ -378,6 +379,88 @@ class TestGenerator:
             GeneratorSpec(seed=0, n_groups=4, n_scenarios=10, blocks=((4, 1.0),))
         with pytest.raises(ConfigError):
             GeneratorSpec(seed=0, n_groups=1, n_scenarios=10)
+
+    @pytest.mark.parametrize("name, inputs", [
+        ("block size", {"blocks": ((2.7, 0.3), (2.3, 0.3))}),
+        ("block size", {"blocks": ((np.float64(2.0), 0.3), (2, 0.3))}),
+        ("seed", {"seed": 1.5}),
+        ("seed", {"seed": "1"}),
+        ("n_groups", {"n_groups": 4.0, "blocks": ((2, 0.3), (2, 0.3))}),
+        ("n_scenarios", {"n_scenarios": 10.5}),
+        ("n_scenarios", {"n_scenarios": None}),
+    ])
+    def test_counts_must_be_integers(self, name, inputs):
+        """A float count is neither truncated nor left to fail inside numpy."""
+        spec = {"seed": 0, "n_groups": 4, "n_scenarios": 10, **inputs}
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer, got "):
+            GeneratorSpec(**spec)
+
+    def test_numpy_integer_counts_are_integers(self):
+        spec = GeneratorSpec(seed=np.int64(9), n_groups=np.int32(8), n_scenarios=np.uint16(100),
+                             blocks=((np.int64(4), 0.5), (4, 0.1)))
+        assert spec.blocks == ((4, 0.5), (4, 0.1))
+        want = generate(GeneratorSpec(seed=9, n_groups=8, n_scenarios=100,
+                                      blocks=((4, 0.5), (4, 0.1))))
+        np.testing.assert_array_equal(generate(spec).values, want.values)
+
+    @given(st.lists(st.tuples(st.integers(1, 6), st.floats(0.0, 0.99)), min_size=1, max_size=4),
+           st.integers(1, 40), st.sampled_from((None, 1, 3)), st.integers(0, 2 ** 32 - 1),
+           st.floats(0.05, 2.0), st.floats(0.01, 1.0))
+    @example(blocks=[(2, 0.3)], k=1, chunk_rows=1, seed=0, tail=0.5, loss_scale=0.1)
+    @example(blocks=[(3, 0.8), (1, 0.0), (2, 0.5)], k=7, chunk_rows=3, seed=42, tail=0.8,
+             loss_scale=0.15)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_whole_array_reference(self, blocks, k, chunk_rows, seed, tail,
+                                               loss_scale):
+        """Bit for bit the reference's table, whatever the chunk: the default,
+        or a chunk of 1 or 3 rows of the widest block (narrower blocks take
+        more rows), with K = 1 and K not a multiple of the chunk drawn."""
+        n = sum(size for size, _ in blocks)
+        assume(n >= 2)
+        spec = GeneratorSpec(seed=seed, n_groups=n, n_scenarios=k, blocks=tuple(blocks),
+                             tail=tail, loss_scale=loss_scale)
+        want = generate_reference(spec)
+        with pytest.MonkeyPatch.context() as patch:
+            if chunk_rows is not None:
+                widest = max(size for size, _ in blocks)
+                patch.setattr(data, "_CHUNK_BYTES", chunk_rows * widest * 8)
+            got = generate(spec)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.values.flags.c_contiguous
+        np.testing.assert_array_equal(got.initial_values, want.initial_values)
+        np.testing.assert_array_equal(got.probabilities, want.probabilities)
+
+
+class TestGeneratorMemory:
+    """Peaks traced on a K=20,000, N=50 table (8 MB of values)."""
+
+    @staticmethod
+    def traced(call):
+        tracemalloc.start()
+        try:
+            return call(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("blocks", (None, tuple((10, rho) for rho in
+                                                    (0.8, 0.5, 0.2, 0.6, 0.0))))
+    def test_generate_holds_one_table(self, blocks):
+        """The table, plus a common-factor column (K floats), the
+        probabilities and one chunk of rows: under four chunks besides the
+        table.  Whole-array steps would hold several tables at once."""
+        spec = GeneratorSpec(seed=1, n_groups=50, n_scenarios=20_000, blocks=blocks)
+        generate(GeneratorSpec(seed=1, n_groups=2, n_scenarios=1))  # numpy.random's lazy import
+        matrix, peak = self.traced(lambda: generate(spec))
+        assert peak < matrix.values.nbytes + 4 * data._CHUNK_BYTES
+
+    def test_write_scenarios_streams_rows(self, tmp_path):
+        """One row's floats and text at a time: far below the table's bytes,
+        where a list of all K x N floats would take four times them."""
+        matrix = generate(GeneratorSpec(seed=1, n_groups=50, n_scenarios=20_000))
+        path = tmp_path / "scen.csv"
+        _, peak = self.traced(lambda: write_scenarios(matrix, path))
+        assert peak < matrix.values.nbytes / 8
+        np.testing.assert_array_equal(read_scenario_file(path).values, matrix.values)
 
 
 class TestRunConfig:

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cvarpath import continuation, risk
@@ -167,14 +167,21 @@ class TestTailSelection:
         assert got.signature[:2] == want.signature[:2]
 
     @given(loss_distributions())
+    @example((np.full(2, float.fromhex("0x0.0000a7c5ac472p-1022")), np.full(2, 0.5), 0.5))
     @settings(max_examples=400, deadline=None)
     def test_cvar_sums_the_dense_split(self, drawn):
         """``cvar`` sums the selected tail rows alone; the dense split's
         ``weights @ losses``, a sum over every row, is its slow path.  Both
-        sum at most K terms of the tail mean, so they agree within K eps."""
+        sum at most K terms of the tail mean, so they agree within K eps
+        relative.  A product whose result is subnormal errs by up to half of
+        2**-1074 absolute instead: the at most 2K products of the two sums,
+        the split atom's two and the two divisions add at most
+        (K + 2) 2**-1074 / (1 - beta).  The example's atom of two subnormal
+        losses is halved on both paths, which then end 1e-323 apart."""
         losses, probs, beta = drawn
         want = tail_split(losses, probs, beta).weights @ losses / (1.0 - beta)
-        tol = losses.size * np.finfo(float).eps * np.abs(losses).max()
+        tol = (losses.size * np.finfo(float).eps * np.abs(losses).max()
+               + (losses.size + 2) * 2.0 ** -1074 / (1.0 - beta))
         assert abs(cvar(losses, probs, beta) - want) <= tol
 
 
