@@ -3,6 +3,7 @@ and the plottable path table."""
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import re
 import sys
@@ -222,6 +223,11 @@ class GeneratorSpec:
         blocks = self.blocks
         if blocks is None:
             blocks = ((self.n_groups, 0.3),)
+        try:
+            blocks = [(size, rho) for size, rho in blocks]
+        except (TypeError, ValueError):
+            raise ConfigError(f"blocks must be (size, correlation) pairs, "
+                              f"got {self.blocks!r}") from None
         counts = [("seed", self.seed), ("n_groups", self.n_groups),
                   ("n_scenarios", self.n_scenarios)]
         counts += [("block size", size) for size, _ in blocks]
@@ -230,6 +236,16 @@ class GeneratorSpec:
                 operator.index(value)
             except TypeError:
                 raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+        reals = [("tail", self.tail), ("loss_scale", self.loss_scale),
+                 ("base_value", self.base_value)]
+        reals += [("block correlation", rho) for _, rho in blocks]
+        for name, value in reals:
+            if not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
+            try:
+                float(value)
+            except OverflowError:
+                raise ConfigError(f"{name} {value!r} is outside the float range") from None
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.n_groups < 2:

@@ -20,6 +20,10 @@ _PROB_TOL = 1e-12
 _CDF_SLACK = 1e-12
 # The Euler numerator gathers the tail rows of V about this many bytes at a time.
 _GATHER_BYTES = 256 * 1024
+# The tail cut of at least twice this many losses is guessed from a sample of about this many.
+_SAMPLE_ROWS = 4096
+# The standalone CVaRs copy this many columns of V at a time into one buffer.
+_COLUMN_BLOCK = 2
 
 
 def _vector(x, name):
@@ -348,24 +352,50 @@ def _tail_inputs(losses, probabilities):
     return losses, probabilities
 
 
+def _top_rows(losses, m):
+    """The m-th largest loss and the ascending indices of the rows at or above it.
+
+    From K >= 2 S losses (S = ``_SAMPLE_ROWS``) a guess is read off a sample
+    of every (K // S)-th loss, at a rank four standard deviations past the
+    m S / K sample rows expected at or above the cut (Floyd and Rivest's
+    SELECT).  If at least m losses reach the guess, every row at or above the
+    cut is among them, so the cut is the m-th largest of those rows alone.
+    A guess too high, or a smaller K, partitions all K losses instead.  Both
+    ways give the same cut and the same rows.
+    """
+    k = losses.size
+    if k >= 2 * _SAMPLE_ROWS:
+        sample = losses[::k // _SAMPLE_ROWS]
+        expected = sample.size * m / k
+        rank = min(sample.size, int(expected + 4.0 * math.sqrt(expected)) + 1)
+        guess = np.partition(sample, sample.size - rank)[sample.size - rank]
+        wide = (losses >= guess).nonzero()[0]
+        if wide.size >= m:
+            kept = losses[wide]
+            cut = np.partition(kept, kept.size - m)[kept.size - m]
+            return cut, wide[kept >= cut]
+    cut = np.partition(losses, k - m)[k - m]
+    return cut, (losses >= cut).nonzero()[0]
+
+
 def _select_tail(losses, probabilities, beta):
     """The selection behind ``var``, ``tail_split`` and ``cvar``.
 
     Returns the validated losses and probabilities, the ascending indices of
-    the candidate rows (loss >= cut), VaR and beta_star = P(L < VaR).
+    the candidate rows (loss >= cut, from ``_top_rows``), VaR and
+    beta_star = P(L < VaR).
     """
     losses, probabilities = _tail_inputs(losses, probabilities)
     if not 0.0 <= beta < 1.0:
         raise DomainError(f"confidence level must be in [0, 1), got {beta!r}")
     k = losses.size
     m = int((1.0 - beta) * k) + 2
-    cut, below = -np.inf, 0.0
+    below = 0.0
     if m < k:
-        cut = np.partition(losses, k - m)[k - m]
+        cut, rows = _top_rows(losses, m)
         below = float(probabilities @ (losses < cut))
-        if below >= beta - _CDF_SLACK:  # the cut may lie above VaR
-            cut, below = -np.inf, 0.0
-    rows = (losses >= cut).nonzero()[0]
+    if m >= k or below >= beta - _CDF_SLACK:  # the cut may lie above VaR
+        rows, below = np.arange(k, dtype=np.intp), 0.0
     candidates = losses[rows]
     order = candidates.argsort()
     ascending = candidates[order]
@@ -382,13 +412,15 @@ def var(losses, probabilities, beta):
     """Smallest loss level whose CDF reaches ``beta``, with ties merged into atoms.
 
     The losses are selected, not sorted.  With m = floor((1 - beta) K) + 2,
-    the cut t is the (K - m)-th order statistic (one ``np.partition``), and
-    only the candidate rows with loss >= t are sorted and their ties merged
-    into atoms, their CDF offset by P(L < t).  If P(L < t) >= beta - slack the cut may lie above the
-    VaR atom, so every row is a candidate, as it is when m >= K (always for
-    beta = 0).  With uniform probabilities P(L < t) <= beta - 1/K, so one
-    partition always suffices.  A non-finite loss or probability raises
-    ``DataError``.
+    the cut t is the (K - m)-th order statistic, and only the candidate rows
+    with loss >= t are sorted and their ties merged into atoms, their CDF
+    offset by P(L < t).  ``_top_rows`` selects t from the rows that reach a
+    guess read off a sample, or, when K is small or the guess is too high,
+    by one ``np.partition`` of every loss.  If P(L < t) >= beta - slack the
+    cut may lie above the VaR atom, so every row is a candidate, as it is
+    when m >= K (always for beta = 0); with uniform probabilities
+    P(L < t) <= beta - 1/K, so this never happens.  A non-finite loss or
+    probability raises ``DataError``.
     """
     return _select_tail(losses, probabilities, beta)[3]
 
@@ -450,7 +482,8 @@ def _standalone_cvars(table, scale, beta):
     one product |s| * known[sign(s) + 1, n] with the table's 3 x N rows
     cvar(-z), 0 and cvar(z) for this beta.  A column's cvar(z) or cvar(-z)
     is NaN until a report first needs it, which the NaN sum shows; only then
-    is the column z = x0[n] - V[:, n] (or -z = V[:, n] - x0[n]) formed.
+    is the column z = x0[n] - V[:, n] (or -z = V[:, n] - x0[n]) formed, by
+    ``_signed_columns``.
     """
     known = table._column_cvars.get(beta)
     if known is None:
@@ -461,12 +494,41 @@ def _standalone_cvars(table, scale, beta):
     cols = np.arange(scale.size)
     out = np.abs(scale) * known[side, cols]
     if math.isnan(out.sum()):
-        for n in np.flatnonzero(np.isnan(known[side, cols])):
-            x0, column = table.initial_values[n], table.values[:, n]
-            signed = x0 - column if side[n] == 2 else column - x0
+        need = np.flatnonzero(np.isnan(known[side, cols]))
+        for n, signed in _signed_columns(table, need, side[need] == 2):
             known[side[n], n] = cvar(signed, table.probabilities, beta)
         out = np.abs(scale) * known[side, cols]
     return out
+
+
+def _signed_columns(table, cols, positive):
+    """Yield (n, z) for each column n of ``cols``: z = x0[n] - V[:, n] where
+    ``positive`` holds, else V[:, n] - x0[n].
+
+    A column of the row-major V read alone costs a cache line a value, so
+    the columns are copied ``_COLUMN_BLOCK`` at a time into one reused
+    (block x K) buffer, ``_GATHER_BYTES`` of it at a time: each line of V
+    read serves the whole block.  Adjacent columns are read as a slice.
+    Each z is formed in place, so the next block overwrites it.
+    """
+    values = table.values
+    k = values.shape[0]
+    buffer = np.empty((min(_COLUMN_BLOCK, cols.size), k))
+    step = max(1, _GATHER_BYTES // (buffer.itemsize * buffer.shape[0]))
+    for first in range(0, cols.size, _COLUMN_BLOCK):
+        block = cols[first:first + _COLUMN_BLOCK]
+        lo, hi = int(block[0]), int(block[-1]) + 1
+        picked = slice(lo, hi) if hi - lo == block.size else block
+        columns = buffer[:block.size]
+        for start in range(0, k, step):
+            columns[:, start:start + step] = values[start:start + step, picked].T
+        for n, z, pos in zip(block, columns, positive[first:first + _COLUMN_BLOCK]):
+            x0 = table.initial_values[n]
+            if pos:
+                np.subtract(x0, z, out=z)
+            else:
+                np.subtract(z, x0, out=z)
+            yield n, z
 
 
 @dataclass(frozen=True)
@@ -509,7 +571,10 @@ def _tail(table, total, beta):
     above and at VaR are then the kept ones, so P(L < v) and P(L <= v) are
     too: v is VaR, and the split fraction, tail weights and signature are
     the kept ones.  Otherwise the losses are split anew and the memo
-    replaced.  The memo holds no K-length array and no Python object per row.
+    replaced.  Its rows are the split's strict-tail rows, and its atom rows
+    when the atom takes a share, read from the signature bytes rather than
+    by a scan of the dense weights; a row whose weight is 0 is dropped.  The
+    memo holds no K-length array and no Python object per row.
     """
     memo = table._tail_memo.get(beta)
     if memo is not None and math.isfinite(np.vdot(table.probabilities, total)):
@@ -519,7 +584,11 @@ def _tail(table, total, beta):
                 and np.count_nonzero(total >= v) == above.size + at.size):
             return float(v), memo
     ts = tail_split(total, table.probabilities, beta)
-    rows = (ts.weights != 0.0).nonzero()[0]
+    above, at, fraction = ts.signature
+    rows = np.frombuffer(above, dtype=np.intp)
+    if fraction > 0.0:
+        rows = np.sort(np.concatenate((rows, np.frombuffer(at, dtype=np.intp))))
+    rows = rows[ts.weights[rows] != 0.0]
     tail = ts.weights[rows]
     memo = table._tail_memo[beta] = (ts.signature, ts.beta_star, rows, tail,
                                      _euler_numerator(table, rows, tail))
@@ -536,16 +605,18 @@ def report(table, state, beta):
     tail weight t only.  The numerator depends only on the tail rows, so
     the table keeps the last ones for this beta and a report re-checks them
     in one O(K) pass before it splits anew (``_tail``).  That memo lives as
-    long as the table, so an edited matrix needs a new table.
+    long as the table, so an edited matrix needs a new table.  The
+    standalone CVaRs come first, so their column buffer and the loss vector
+    are never held at once.
     """
     scale = state.weights / state.base_weights
+    standalone = _standalone_cvars(table, scale, beta)
     total = portfolio_losses(table, state)
     v, (signature, beta_star, rows, tail, numerator) = _tail(table, total, beta)
     inv_tail = 1.0 / (1.0 - beta)
     cvar_total = float(tail @ total[rows]) * inv_tail
     contributions = numerator * scale * inv_tail
     dar_values = dar(contributions, state)
-    standalone = _standalone_cvars(table, scale, beta)
     standalone_sum = float(standalone.sum())
     diversification = cvar_total / standalone_sum if standalone_sum != 0.0 else np.nan
     total_return = state.total_return

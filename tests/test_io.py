@@ -395,6 +395,22 @@ class TestGenerator:
         with pytest.raises(ConfigError, match=f"^{name} must be an integer, got "):
             GeneratorSpec(**spec)
 
+    @pytest.mark.parametrize("message, inputs", [
+        ("tail must be a real number", {"tail": "0.5"}),
+        ("loss_scale must be a real number", {"loss_scale": None}),
+        ("base_value 10*0 is outside the float range", {"base_value": 10 ** 400}),
+        ("block correlation must be a real number", {"blocks": ((2, "x"), (2, 0.3))}),
+        ("block correlation must be a real number", {"blocks": ((4, None),)}),
+        ("blocks must be \\(size, correlation\\) pairs", {"blocks": ((4,),)}),
+        ("blocks must be \\(size, correlation\\) pairs", {"blocks": 4}),
+    ])
+    def test_malformed_reals_and_blocks_are_config_errors(self, message, inputs):
+        """A library caller's string, None, out-of-range int or short block
+        ends in a ConfigError, not a TypeError, ValueError or OverflowError."""
+        spec = {"seed": 0, "n_groups": 4, "n_scenarios": 10, **inputs}
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            GeneratorSpec(**spec)
+
     def test_numpy_integer_counts_are_integers(self):
         spec = GeneratorSpec(seed=np.int64(9), n_groups=np.int32(8), n_scenarios=np.uint16(100),
                              blocks=((np.int64(4), 0.5), (4, 0.1)))

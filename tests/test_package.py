@@ -3,6 +3,7 @@ import ast
 import contextlib
 import io
 import re
+import sys
 from pathlib import Path
 
 import cvarpath
@@ -30,6 +31,22 @@ def test_exports_and_no_private_sibling_imports():
                     node.level or (node.module or "").split(".")[0] == "cvarpath"):
                 private = [alias.name for alias in node.names if alias.name.startswith("_")]
                 assert not private, f"{path.name} imports {private} from {node.module}"
+
+
+def test_package_imports_only_the_stdlib_numpy_and_itself():
+    """The runtime dependency is numpy alone: scipy and the other test-only
+    references stay under ``tests/``."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "cvarpath"}
+    for path in sorted(Path(cvarpath.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside = [name for name in names if name.split(".")[0] not in allowed]
+            assert not outside, f"{path.name} imports {outside}"
 
 
 def test_readme_library_use_runs(tmp_path, monkeypatch):

@@ -185,6 +185,85 @@ class TestTailSelection:
         assert abs(cvar(losses, probs, beta) - want) <= tol
 
 
+SAMPLE_ROWS = 4  # the sampled cut at K >= 8
+FULL_PARTITION = 10 ** 9  # no sampled cut at any K a test draws
+
+
+def selection(losses, probs, beta, sample_rows):
+    """Rows, VaR, beta_star and CVaR as float bits, with the sampled cut's
+    ``_SAMPLE_ROWS`` set to ``sample_rows``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(risk, "_SAMPLE_ROWS", sample_rows)
+        _, _, rows, v, beta_star = risk._select_tail(losses, probs, beta)
+        return rows, v.hex(), beta_star.hex(), cvar(losses, probs, beta).hex()
+
+
+@st.composite
+def sampled_cut_cases(draw):
+    """A ``loss_distributions`` draw of K >= 2 ``SAMPLE_ROWS`` rows whose
+    m = floor((1 - beta) K) + 2 is below K, so a cut is selected, with its
+    rows in drawn order, sorted up or down, or with every (K // S)-th row, the
+    rows the sample reads, raised or lowered by a drawn step."""
+    losses, probs, beta = draw(loss_distributions().filter(
+        lambda d: d[0].size >= 2 * SAMPLE_ROWS and int((1.0 - d[2]) * d[0].size) + 2 < d[0].size))
+    layout = draw(st.sampled_from(("drawn", "ascending", "descending", "period")))
+    if layout == "period":
+        sampled = np.arange(losses.size) % (losses.size // SAMPLE_ROWS) == 0
+        losses = losses + np.where(sampled, draw(st.sampled_from((-2e3, 2e3, 1.0))), 0.0)
+    elif layout != "drawn":
+        order = np.argsort(losses, kind="stable")
+        order = order if layout == "ascending" else order[::-1]
+        losses, probs = losses[order], probs[order]
+    return losses, probs, beta
+
+
+class TestSampledCut:
+    """The cut guessed from a strided sample against one partition of every loss."""
+
+    @given(sampled_cut_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_full_partition(self, drawn):
+        """Ties, unequal masses, sorted rows and rows whose period is the
+        sample's stride: the same candidate rows, VaR, beta_star and CVaR,
+        bit for bit."""
+        losses, probs, beta = drawn
+        got = selection(losses, probs, beta, SAMPLE_ROWS)
+        want = selection(losses, probs, beta, FULL_PARTITION)
+        assert got[0].dtype == want[0].dtype == np.intp
+        np.testing.assert_array_equal(got[0], want[0])
+        assert got[1:] == want[1:]
+
+    @staticmethod
+    def partitioned_sizes(monkeypatch, losses, beta):
+        sizes = []
+        partition = np.partition
+        monkeypatch.setattr(np, "partition",
+                            lambda a, kth: sizes.append(np.size(a)) or partition(a, kth))
+        risk._select_tail(losses, np.full(losses.size, 1.0 / losses.size), beta)
+        return sizes
+
+    def test_continuous_losses_take_the_sampled_cut(self, monkeypatch):
+        """Every partition is of the sample or of the rows that reach its guess."""
+        losses = np.random.default_rng(0).normal(size=4000)
+        monkeypatch.setattr(risk, "_SAMPLE_ROWS", 64)
+        sizes = self.partitioned_sizes(monkeypatch, losses, 0.95)
+        assert len(sizes) == 2 and max(sizes) < losses.size // 4
+
+    def test_guess_above_the_cut_falls_back(self, monkeypatch):
+        """The sample reads rows 0, 16, 32 and 48, the four largest losses, so
+        its guess is reached by 4 rows, fewer than m = 34: all 64 losses are
+        partitioned, and the split is the full partition's."""
+        losses = np.arange(64.0)
+        losses[::16] = 100.0 + np.arange(4.0)
+        probs = np.full(64, 1.0 / 64)
+        monkeypatch.setattr(risk, "_SAMPLE_ROWS", SAMPLE_ROWS)
+        assert self.partitioned_sizes(monkeypatch, losses, 0.5)[-1] == 64
+        got = selection(losses, probs, 0.5, SAMPLE_ROWS)
+        want = selection(losses, probs, 0.5, FULL_PARTITION)
+        np.testing.assert_array_equal(got[0], want[0])
+        assert got[1:] == want[1:]
+
+
 class TestCvarOracle:
     def test_matches_oracle_on_random_distributions(self):
         rng = np.random.default_rng(1234)
@@ -418,6 +497,33 @@ class TestStandaloneByHomogeneity:
             assert rec.cvar == pytest.approx(total, rel=1e-14)
             assert rec.diversification_index == pytest.approx(total / standalone, rel=1e-13)
 
+    @given(st.integers(2, 9), st.integers(1, 80), st.sampled_from((1, 2, 3, 5)),
+           st.sampled_from((8, 40, 256 * 1024)), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_column_blocks_match_per_column_cvar(self, n, k, block, gather_bytes, data):
+        """The standalone CVaRs formed in blocks of columns, in row chunks of
+        drawn size (K seldom a multiple of one), against ``cvar`` of each
+        column x0[n] - V[:, n] or V[:, n] - x0[n], bit for bit.  The scales mix
+        signs and zeros, and a first report at other scales leaves some columns
+        known, so the columns still needed are not adjacent."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        matrix = random_matrix(rng, n=n, k=k)
+        scale_of = st.lists(st.sampled_from((-2.5, -1.0, 0.0, 0.5, 3.0)), min_size=n, max_size=n)
+        first, scale = np.array(data.draw(scale_of)), np.array(data.draw(scale_of))
+        beta = data.draw(st.sampled_from((0.0, 0.5, 0.9)))
+        table = build_losses(matrix)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(risk, "_COLUMN_BLOCK", block)
+            patch.setattr(risk, "_GATHER_BYTES", gather_bytes)
+            risk._standalone_cvars(table, first, beta)
+            got = risk._standalone_cvars(table, scale, beta)
+        x0, values, probs = matrix.initial_values, matrix.values, matrix.probabilities
+        want = np.abs(scale) * np.array([
+            0.0 if s == 0.0 else cvar(x0[i] - values[:, i] if s > 0.0 else values[:, i] - x0[i],
+                                      probs, beta)
+            for i, s in enumerate(scale)])
+        assert got.tobytes() == want.tobytes()
+
     def test_column_cvars_computed_once_per_run(self, monkeypatch):
         calls = []
         original = risk.cvar
@@ -603,6 +709,20 @@ class TestTailMemo:
                                  beta=0.5, delta_c=1e-3, total_cost=0.01)
         with pytest.raises(DataError, match="^losses must all be finite$"):
             run(matrix, scaled, cfg)
+
+    @given(loss_distributions())
+    @settings(max_examples=300, deadline=None)
+    def test_memo_rows_are_the_nonzero_tail_weights(self, drawn):
+        """The rows a new memo reads from the signature, and their weights,
+        are the rows of nonzero weight in the dense split, whether or not the
+        split gives the VaR atom a share."""
+        losses, probs, beta = drawn
+        table = LossTable(initial_values=np.zeros(2), values=np.zeros((losses.size, 2)),
+                          probabilities=probs)
+        _, (_, _, rows, tail, _) = risk._tail(table, losses, beta)
+        weights = tail_split(losses, probs, beta).weights
+        np.testing.assert_array_equal(rows, np.flatnonzero(weights))
+        assert tail.tobytes() == weights[rows].tobytes()
 
     def test_memo_keeps_tail_rows_only(self):
         """After a report the memo and the signature hold bytes and arrays
