@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import argparse
+import errno
+import os
+import stat
 import sys
 
 import numpy as np
@@ -104,12 +107,27 @@ def _states_from_config(cfg):
     return matrix, _initial_state(matrix, cfg.returns, cfg.costs)
 
 
+def _check_output_dir(output):
+    """Raise the ``OSError`` that opening ``output`` for writing would raise
+    if its directory is missing or is not a directory, so a path is not run
+    only to be lost at the write."""
+    output = os.fspath(output)
+    try:
+        if stat.S_ISDIR(os.stat(os.path.dirname(output) or os.curdir).st_mode):
+            return
+        code = errno.ENOTDIR
+    except OSError as exc:
+        code = exc.errno
+    raise OSError(code, os.strerror(code), output)
+
+
 def _run_optimize(args):
     cfg = parse_run_config(args.config)
     output = args.output or cfg.output
     if output is None:
         raise ConfigError("no output path given (config 'output' or --output)")
     matrix, state = _states_from_config(cfg)
+    _check_output_dir(output)
     result = run(matrix, state, cfg.continuation)
     write_path(result, output)
     terminal = result.terminal_record

@@ -138,17 +138,19 @@ def apply_step(state, y, delta_c, clamp_nonnegative):
     """w_+ = w_- + delta_c * y with full-step zero clamping.
 
     A component driven to or below zero is set to exactly zero and frozen for
-    every later step; already-frozen components never move.
+    every later step; already-frozen components never move.  A step that
+    clamps nothing shares the frozen mask with ``state``.
     """
     weights = state.weights + delta_c * np.asarray(y, dtype=float)
-    frozen = state.frozen.copy()
+    frozen = state.frozen
     weights[frozen] = 0.0
     newly = ()
     if clamp_nonnegative:
-        crossing = (weights <= 0.0) & ~frozen
+        crossing = weights <= 0.0
+        crossing &= ~frozen
         if crossing.any():
             weights[crossing] = 0.0
-            frozen[crossing] = True
+            frozen = frozen | crossing
             newly = tuple(int(i) for i in np.flatnonzero(crossing))
     return state.with_weights(weights, frozen), newly
 
@@ -167,7 +169,7 @@ def _relative(value, base):
     return value / base
 
 
-def _make_record(m, c, params, q, big_q, state, rep, clamped, factor, base):
+def _make_record(m, c, params, q, big_q, state, rep, clamped, frozen, factor, base):
     return PathRecord(
         step=m, c=c, kappa1=params.kappa1, kappa2=params.kappa2, q=q, Q=big_q,
         weights=state.weights.copy(), cvar=rep.cvar, total_return=rep.total_return,
@@ -177,7 +179,7 @@ def _make_record(m, c, params, q, big_q, state, rep, clamped, factor, base):
         revenue_rel=_relative(rep.revenue, base["revenue"]),
         di_rel=_relative(rep.diversification_index, base["di"]),
         re2ri_rel=_relative(rep.total_return_to_risk, base["re2ri"]),
-        clamped_ids=clamped, frozen_count=int(state.frozen.sum()),
+        clamped_ids=clamped, frozen_count=frozen,
         rescale_factor=factor, tail_signature=rep.tail_signature)
 
 
@@ -212,15 +214,16 @@ def run(scenarios, state0, config):
     rep = report(table, state, config.beta)
     base = {"cvar": rep.cvar, "return": rep.total_return, "revenue": rep.revenue,
             "di": rep.diversification_index, "re2ri": rep.total_return_to_risk}
-    records = [_make_record(0, 0.0, _AT_REST, 0.0, 0.0, state, rep, (), 1.0, base)]
+    n = state.n_groups
+    frozen = int(state.frozen.sum())  # carried: a step freezes exactly its clamped ids
+    records = [_make_record(0, 0.0, _AT_REST, 0.0, 0.0, state, rep, (), frozen, 1.0, base)]
     reason = "budget"
     streak = 0
     row, maximize = effective_problem(config.objective, config.mode)
     reusable = row in (ObjectiveKind.MIN_RISK, ObjectiveKind.MAX_RETURN)
     solved_key = None
     for m in range(1, config.n_steps + 1):
-        active = state.active
-        if not active.any():
+        if frozen == n:
             reason = "all-clamped"
             break
         key = (rep.tail_signature, state.frozen.tobytes()) if reusable else None
@@ -238,12 +241,13 @@ def run(scenarios, state0, config):
                 # locally stationary; treat it as the path settling down.
                 reason = "steady-state"
                 break
-            y = np.zeros(state.n_groups)
-            y[active] = sol.y
+            y = np.zeros(n)
+            y[state.active] = sol.y
             solved_key = key
         cvar_before = rep.cvar
         state, clamped = apply_step(state, y, config.delta_c, config.clamp_nonnegative)
-        all_clamped = not state.active.any()
+        frozen += len(clamped)
+        all_clamped = frozen == n
         rep = report(table, state, config.beta)
         # the step's own change: under fixed total risk the rescale below pins CVaR
         rel_change = abs(rep.cvar - cvar_before) / max(abs(cvar_before), 1e-300)
@@ -252,7 +256,7 @@ def run(scenarios, state0, config):
             state, factor = rescale_fixed_risk(state, cvar_before, rep.cvar)
             rep = report(table, state, config.beta)
         records.append(_make_record(m, m * config.delta_c, params, sol.q, sol.Q,
-                                    state, rep, clamped, factor, base))
+                                    state, rep, clamped, frozen, factor, base))
         if all_clamped:
             reason = "all-clamped"
             break

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,12 +124,13 @@ class LossTable:
     allocation, held as the two factors of the scenario matrix.
 
     All three arrays are read-only views: of the matrix's own arrays when
-    built by ``build_losses``, which copies nothing.  ``report`` keeps two
+    built by ``build_losses``, which copies nothing.  ``report`` keeps three
     memos on the table for its whole life: the CVaR of each column in
-    ``_column_cvars`` and the last tail set with its Euler numerator in
-    ``_tail_memo``, which holds arrays over the tail rows only.  Both are
-    computed from the arrays as they were, so a caller who edits their
-    matrix builds a new table.
+    ``_column_cvars``, the pick of those CVaRs for the last sign pattern of
+    the weights in ``_standalone_pick``, and the last tail set with its
+    Euler numerator in ``_tail_memo``, which holds arrays over the tail rows
+    only.  All are computed from the arrays as they were, so a caller who
+    edits their matrix builds a new table.
     """
 
     initial_values: np.ndarray
@@ -135,8 +138,9 @@ class LossTable:
     probabilities: np.ndarray
     # beta -> 3 x N rows cvar(-column), 0, cvar(column), NaN until a report needs one
     _column_cvars: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # beta -> (signature, beta_star, rows of nonzero tail weight t, t at those rows,
-    #          sum(t) * x0 - t @ V[rows])
+    # beta -> (np.sign(w / w_base) as bytes, known[sign + 1, n] for each column n)
+    _standalone_pick: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # beta -> _TailMemo of the last tail set
     _tail_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -187,7 +191,8 @@ def _check_weights(weights, frozen):
     frozen = np.asarray(frozen, dtype=bool)
     if frozen.shape != weights.shape:
         raise DataError("frozen mask length does not match weights")
-    if ((weights == 0.0) & ~frozen).any():
+    zero = weights == 0.0
+    if zero.any() and (zero & ~frozen).any():
         raise DomainError("active weight components must be nonzero")
     return frozen
 
@@ -324,7 +329,11 @@ def portfolio_losses(table, state):
     that overflows, or is inf - inf, is left non-finite for the tail split
     to reject as a ``DataError``, without a numpy warning.
     """
-    scale = state.weights / state.base_weights
+    return _losses(table, state.weights / state.base_weights)
+
+
+def _losses(table, scale):
+    """``portfolio_losses`` at the scale s = w / w_base."""
     with np.errstate(over="ignore", invalid="ignore"):
         losses = table.values @ scale
         return np.subtract(table.initial_values @ scale, losses, out=losses)
@@ -480,25 +489,37 @@ def _standalone_cvars(table, scale, beta):
 
     s * cvar(z) for s > 0, |s| * cvar(-z) for s < 0 and exactly 0 for s = 0:
     one product |s| * known[sign(s) + 1, n] with the table's 3 x N rows
-    cvar(-z), 0 and cvar(z) for this beta.  A column's cvar(z) or cvar(-z)
-    is NaN until a report first needs it, which the NaN sum shows; only then
-    is the column z = x0[n] - V[:, n] (or -z = V[:, n] - x0[n]) formed, by
-    ``_signed_columns``.
+    cvar(-z), 0 and cvar(z) for this beta.  The picked row
+    known[sign(s) + 1, n] is kept on the table with its sign pattern, so it
+    is picked anew only when a sign changes (on a path, at a clamp).
     """
+    signs = np.sign(scale)
+    key = signs.tobytes()
+    pick = table._standalone_pick.get(beta)
+    if pick is None or pick[0] != key:
+        side = signs.astype(np.intp)
+        side += 1
+        pick = table._standalone_pick[beta] = (key, _pick_standalone(table, side, beta))
+    return np.abs(scale) * pick[1]
+
+
+def _pick_standalone(table, side, beta):
+    """known[side[n], n] for each column n of the table's 3 x N rows for this
+    beta.  A column's cvar(z) or cvar(-z) is NaN until a pick first needs
+    it; only then is the column z = x0[n] - V[:, n] (or -z = V[:, n] - x0[n])
+    formed, by ``_signed_columns``."""
     known = table._column_cvars.get(beta)
     if known is None:
-        known = table._column_cvars[beta] = np.full((3, scale.size), np.nan)
+        known = table._column_cvars[beta] = np.full((3, side.size), np.nan)
         known[1] = 0.0
-    side = np.sign(scale).astype(np.intp)
-    side += 1
-    cols = np.arange(scale.size)
-    out = np.abs(scale) * known[side, cols]
-    if math.isnan(out.sum()):
-        need = np.flatnonzero(np.isnan(known[side, cols]))
+    cols = np.arange(side.size)
+    picked = known[side, cols]
+    need = np.flatnonzero(np.isnan(picked))
+    if need.size:
         for n, signed in _signed_columns(table, need, side[need] == 2):
             known[side[n], n] = cvar(signed, table.probabilities, beta)
-        out = np.abs(scale) * known[side, cols]
-    return out
+        picked = known[side, cols]
+    return picked
 
 
 def _signed_columns(table, cols, positive):
@@ -533,20 +554,49 @@ def _signed_columns(table, cols, positive):
 
 @dataclass(frozen=True)
 class RiskReport:
-    """Risk and performance metrics of one portfolio state."""
+    """Risk and performance metrics of one portfolio state.
+
+    The per-group vectors ``contributions``, ``dar`` and
+    ``group_return_to_risk`` are formed on first read and kept: a path step
+    that reuses the last solve reads none of them.  They are formed from
+    the private fields: the Euler numerator of the tail set, the scale
+    s = w / w_base, 1 / (1 - beta) and the state itself, so a caller who
+    edits the state's arrays in place before the first read reads the
+    vectors of the edited state.
+    """
 
     var: float
     cvar: float
-    contributions: np.ndarray
-    dar: np.ndarray
     standalone_cvar: np.ndarray
     diversification_index: float
     total_return: float
     total_return_to_risk: float
-    group_return_to_risk: np.ndarray
     revenue: float
     beta_star: float  # P(L < VaR), the atom split's lower mass
     tail_signature: tuple
+    _numerator: np.ndarray = field(repr=False, compare=False)  # sum(t) * x0 - t @ V[rows]
+    _scale: np.ndarray = field(repr=False, compare=False)
+    _inv_tail: float = field(repr=False, compare=False)
+    _state: PortfolioState = field(repr=False, compare=False)
+
+    @cached_property
+    def contributions(self):
+        """Euler contributions (tail weights @ Z) * s / (1 - beta)."""
+        return self._numerator * self._scale * self._inv_tail
+
+    @cached_property
+    def dar(self):
+        """Contribution per unit weight; NaN for frozen components."""
+        return dar(self.contributions, self._state)
+
+    @cached_property
+    def group_return_to_risk(self):
+        """Each group's return at its value over its standalone CVaR; NaN
+        where that CVaR is 0."""
+        state, standalone = self._state, self.standalone_cvar
+        group_values = state.weights * state.base_value
+        return np.divide(state.returns * group_values, standalone,
+                         out=np.full(standalone.shape, np.nan), where=standalone != 0.0)
 
 
 def _euler_numerator(table, rows, tail):
@@ -560,43 +610,57 @@ def _euler_numerator(table, rows, tail):
     return tail.sum() * table.initial_values - gathered
 
 
+class _TailMemo(NamedTuple):
+    """A table's last tail set for one beta, over its tail rows only."""
+
+    signature: tuple
+    beta_star: float
+    above: np.ndarray  # the strict-tail rows, read from the signature's bytes
+    at: np.ndarray  # the atom rows, likewise
+    rows: np.ndarray  # the rows of nonzero tail weight t
+    tail: np.ndarray  # t at those rows
+    numerator: np.ndarray  # sum(t) * x0 - t @ V[rows]
+
+
 def _tail(table, total, beta):
-    """VaR of the losses ``total`` and the table's tail memo for this beta:
-    the signature, beta_star, the rows of nonzero tail weight t, t at those
-    rows and the Euler numerator sum(t) * x0 - t @ V[rows].
+    """VaR of the losses ``total`` and the table's ``_TailMemo`` for this beta.
 
     The memo is reused while its tail set stands: the losses are finite (the
-    one dot product of the tail split), the atom rows are still tied at v,
-    every strict-tail row is above v and no other row reaches v.  The rows
-    above and at VaR are then the kept ones, so P(L < v) and P(L <= v) are
-    too: v is VaR, and the split fraction, tail weights and signature are
-    the kept ones.  Otherwise the losses are split anew and the memo
-    replaced.  Its rows are the split's strict-tail rows, and its atom rows
-    when the atom takes a share, read from the signature bytes rather than
-    by a scan of the dense weights; a row whose weight is 0 is dropped.  The
-    memo holds no K-length array and no Python object per row.
+    one dot product of the tail split), the atom rows are still tied at v (a
+    one-row atom is, v being its loss), every strict-tail row is above v and
+    no other row reaches v.  The rows above and at VaR are then the kept
+    ones, so P(L < v) and P(L <= v) are too: v is VaR, and the split
+    fraction, tail weights and signature are the kept ones.  Otherwise the
+    losses are split anew and the memo replaced.  Its strict-tail and atom
+    rows are read once from the signature bytes (views of them, no copy).
+    Its rows of nonzero weight are the strict-tail rows, and the atom rows
+    when the atom takes a share, rather than a scan of the dense weights; a
+    row whose weight is 0 is dropped.  The memo holds no K-length array and
+    no Python object per row.
     """
     memo = table._tail_memo.get(beta)
     if memo is not None and math.isfinite(np.vdot(table.probabilities, total)):
-        above, at = (np.frombuffer(kept, dtype=np.intp) for kept in memo[0][:2])
+        above, at = memo.above, memo.at
         v = total[at[0]]
-        if ((total[at] == v).all() and (above.size == 0 or total[above].min() > v)
+        if ((at.size == 1 or (total[at] == v).all())
+                and (above.size == 0 or total[above].min() > v)
                 and np.count_nonzero(total >= v) == above.size + at.size):
             return float(v), memo
     ts = tail_split(total, table.probabilities, beta)
     above, at, fraction = ts.signature
-    rows = np.frombuffer(above, dtype=np.intp)
+    above, at = np.frombuffer(above, dtype=np.intp), np.frombuffer(at, dtype=np.intp)
+    rows = above
     if fraction > 0.0:
-        rows = np.sort(np.concatenate((rows, np.frombuffer(at, dtype=np.intp))))
+        rows = np.sort(np.concatenate((above, at)))
     rows = rows[ts.weights[rows] != 0.0]
     tail = ts.weights[rows]
-    memo = table._tail_memo[beta] = (ts.signature, ts.beta_star, rows, tail,
-                                     _euler_numerator(table, rows, tail))
+    memo = table._tail_memo[beta] = _TailMemo(ts.signature, ts.beta_star, above, at, rows,
+                                              tail, _euler_numerator(table, rows, tail))
     return ts.var, memo
 
 
 def report(table, state, beta):
-    """Evaluate every risk measure and index at the given state.
+    """Evaluate the risk measures and indices at the given state.
 
     No K x N array is formed: with s = w / w_base the losses L are
     x0 @ s - V @ s, CVaR is t @ L[rows] / (1 - beta) and the Euler
@@ -607,27 +671,23 @@ def report(table, state, beta):
     in one O(K) pass before it splits anew (``_tail``).  That memo lives as
     long as the table, so an edited matrix needs a new table.  The
     standalone CVaRs come first, so their column buffer and the loss vector
-    are never held at once.
+    are never held at once.  The scalars and the standalone CVaRs are
+    computed here; the contributions, DaR and the per-group return-to-risk
+    are formed when first read (``RiskReport``).
     """
     scale = state.weights / state.base_weights
     standalone = _standalone_cvars(table, scale, beta)
-    total = portfolio_losses(table, state)
-    v, (signature, beta_star, rows, tail, numerator) = _tail(table, total, beta)
+    total = _losses(table, scale)
+    v, memo = _tail(table, total, beta)
     inv_tail = 1.0 / (1.0 - beta)
-    cvar_total = float(tail @ total[rows]) * inv_tail
-    contributions = numerator * scale * inv_tail
-    dar_values = dar(contributions, state)
+    cvar_total = float(memo.tail @ total[memo.rows]) * inv_tail
     standalone_sum = float(standalone.sum())
     diversification = cvar_total / standalone_sum if standalone_sum != 0.0 else np.nan
     total_return = state.total_return
-    x0 = state.base_value
-    total_re2ri = total_return * x0 / cvar_total if cvar_total != 0.0 else np.nan
-    group_values = state.weights * x0
-    group_re2ri = np.divide(state.returns * group_values, standalone,
-                            out=np.full(standalone.shape, np.nan), where=standalone != 0.0)
-    return RiskReport(var=v, cvar=cvar_total, contributions=contributions,
-                      dar=dar_values, standalone_cvar=standalone,
+    total_re2ri = total_return * state.base_value / cvar_total if cvar_total != 0.0 else np.nan
+    return RiskReport(var=v, cvar=cvar_total, standalone_cvar=standalone,
                       diversification_index=diversification,
                       total_return=total_return, total_return_to_risk=total_re2ri,
-                      group_return_to_risk=group_re2ri, revenue=state.revenue,
-                      beta_star=beta_star, tail_signature=signature)
+                      revenue=state.revenue, beta_star=memo.beta_star,
+                      tail_signature=memo.signature, _numerator=memo.numerator,
+                      _scale=scale, _inv_tail=inv_tail, _state=state)

@@ -7,15 +7,17 @@ and scale it, with one CVaR per column, the direction search samples the
 feasible sphere, the rate search evaluates the objective rate on a grid,
 and DaR is a central difference.  The Hessian sign check verifies the free-rate extremum
 to second order; no step needs it.  The tail-average CVaR stays in
-``cvarpath.oracle``.
+``cvarpath.oracle``.  ``report_reference`` and ``generate_reference`` are
+bit-for-bit references instead: the eager form of an engine call that now
+does less work for the same bits.
 """
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from cvarpath import (DomainError, InfeasibleStepError, ScenarioMatrix, TailSet, cvar,
-                      portfolio_losses, tail_split)
+from cvarpath import (DomainError, InfeasibleStepError, ScenarioMatrix, TailSet, cvar, dar,
+                      portfolio_losses, risk, tail_split)
 from cvarpath.projection import _project
 from cvarpath.risk import _CDF_SLACK
 
@@ -281,3 +283,71 @@ def generate_reference(spec):
     with np.errstate(over="raise", invalid="raise"):
         values = base[None, :] - base[None, :] * spec.loss_scale * standardized
     return ScenarioMatrix(initial_values=base, values=values, probabilities=np.full(k, 1.0 / k))
+
+
+@dataclass(frozen=True)
+class EagerReport:
+    """The fields of ``risk.RiskReport``, every one formed when it is built."""
+
+    var: float
+    cvar: float
+    contributions: np.ndarray
+    dar: np.ndarray
+    standalone_cvar: np.ndarray
+    diversification_index: float
+    total_return: float
+    total_return_to_risk: float
+    group_return_to_risk: np.ndarray
+    revenue: float
+    beta_star: float
+    tail_signature: tuple
+
+
+def _standalone_reference(table, scale, beta):
+    """|s| * known[sign(s) + 1, n], picked from the table's 3 x N column
+    CVaRs on every call; a NaN in the product marks columns still unknown,
+    which are formed and filled in first."""
+    known = table._column_cvars.get(beta)
+    if known is None:
+        known = table._column_cvars[beta] = np.full((3, scale.size), np.nan)
+        known[1] = 0.0
+    side = np.sign(scale).astype(np.intp)
+    side += 1
+    cols = np.arange(scale.size)
+    out = np.abs(scale) * known[side, cols]
+    if math.isnan(out.sum()):
+        need = np.flatnonzero(np.isnan(known[side, cols]))
+        for n, signed in risk._signed_columns(table, need, side[need] == 2):
+            known[side[n], n] = cvar(signed, table.probabilities, beta)
+        out = np.abs(scale) * known[side, cols]
+    return out
+
+
+def report_reference(table, state, beta):
+    """``risk.report`` with every field formed at once: the Euler
+    contributions, DaR and the per-group return-to-risk on every call, and
+    the standalone CVaRs picked anew each time.  It keeps the table's memos
+    as ``report`` does, so the two agree bit for bit along any sequence of
+    states on tables of one history."""
+    scale = state.weights / state.base_weights
+    standalone = _standalone_reference(table, scale, beta)
+    total = portfolio_losses(table, state)
+    v, memo = risk._tail(table, total, beta)
+    inv_tail = 1.0 / (1.0 - beta)
+    cvar_total = float(memo.tail @ total[memo.rows]) * inv_tail
+    contributions = memo.numerator * scale * inv_tail
+    dar_values = dar(contributions, state)
+    standalone_sum = float(standalone.sum())
+    diversification = cvar_total / standalone_sum if standalone_sum != 0.0 else np.nan
+    total_return = state.total_return
+    x0 = state.base_value
+    total_re2ri = total_return * x0 / cvar_total if cvar_total != 0.0 else np.nan
+    group_values = state.weights * x0
+    group_re2ri = np.divide(state.returns * group_values, standalone,
+                            out=np.full(standalone.shape, np.nan), where=standalone != 0.0)
+    return EagerReport(var=v, cvar=cvar_total, contributions=contributions,
+                       dar=dar_values, standalone_cvar=standalone,
+                       diversification_index=diversification,
+                       total_return=total_return, total_return_to_risk=total_re2ri,
+                       group_return_to_risk=group_re2ri, revenue=state.revenue,
+                       beta_star=memo.beta_star, tail_signature=memo.signature)

@@ -136,6 +136,28 @@ class TestOptimize:
         assert code == EXIT_OK
         assert "steps=200 c=0.2 reason=budget" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("parent", ("missing_dir", "missing_dir/deeper", "a_file"))
+    def test_missing_output_directory_fails_before_the_run(self, tmp_path, capsys,
+                                                           monkeypatch, parent):
+        """An output whose directory is missing, or is a file, ends in the
+        error that writing it would raise, without running the path."""
+        scen = gen_file(tmp_path)
+        cfg = self.write_config(tmp_path, scen)
+        (tmp_path / "a_file").write_text("")
+        output = tmp_path / parent / "p.csv"
+        with pytest.raises(OSError) as raised:
+            open(output, "w")
+        capsys.readouterr()
+
+        def no_run(*args):
+            raise AssertionError("the path ran")
+
+        monkeypatch.setattr(cli, "run", no_run)
+        code = main(["optimize", "--config", str(cfg), "--output", str(output)])
+        assert code == EXIT_DOMAIN
+        assert capsys.readouterr().err == f"error_code=io {raised.value}\n"
+        assert not output.parent.is_dir()
+
     def test_output_override(self, tmp_path):
         scen = gen_file(tmp_path)
         cfg = self.write_config(tmp_path, scen)

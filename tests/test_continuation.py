@@ -17,6 +17,7 @@ from cvarpath import (
     DomainError,
     ExtremumAutopilot,
     FixedKappas,
+    generate,
     ObjectiveKind,
     PathParams,
     PortfolioError,
@@ -31,8 +32,9 @@ from cvarpath import (
     rescale_fixed_risk,
     run,
 )
-from conftest import small_portfolio
-from oracle import loss_matrix
+from cvarpath import risk
+from conftest import flagship_returns, flagship_spec, small_portfolio
+from oracle import loss_matrix, report_reference
 
 REV = ConstraintMode(ConstraintVariant.REVENUE_ONLY)
 NONE = ConstraintMode(ConstraintVariant.NONE_ACTIVE)
@@ -552,6 +554,102 @@ class TestStepReuse:
         res = run(matrix, state, cfg)
         assert res.reason == "budget"
         assert len(calls) == len(res.records) - 1
+
+
+def flagship_shaped(fixed_total_risk=False):
+    """The flagship's N=50 portfolio and min-risk path at K=500 and 300
+    steps, with cost coefficients of 0.1 so that nine groups clamp."""
+    matrix = generate(flagship_spec(n_scenarios=500))
+    state = initial_state(matrix, flagship_returns(), 0.1)
+    cfg = ContinuationConfig(objective=ObjectiveKind.MIN_RISK,
+                             mode=ConstraintMode(ConstraintVariant.BOTH, "return"),
+                             kappa_policy=ExtremumAutopilot(fixed_revenue=True), beta=0.95,
+                             delta_c=1e-4, total_cost=0.1, max_steps=300,
+                             steady_state_tol=0.0, fixed_total_risk=fixed_total_risk)
+    return matrix, state, cfg
+
+
+def clamping_min_risk():
+    """Steepest min-risk descent at a free revenue rate: one group after
+    another clamps until all eight are frozen."""
+    matrix, state = small_portfolio(seed=0, n=8, k=300)
+    cfg = ContinuationConfig(objective=ObjectiveKind.MIN_RISK, mode=REV,
+                             kappa_policy=ExtremumAutopilot(), beta=0.9, delta_c=1e-3,
+                             total_cost=0.3, steady_state_tol=0.0)
+    return matrix, initial_state(matrix, state.returns, 0.1), cfg
+
+
+def ratio_revenue_only():
+    """Return-to-risk under the revenue constraint alone, at fixed total
+    risk: a nonlinear row, so every step solves."""
+    matrix, state = small_portfolio(seed=6, n=8, k=300)
+    cfg = ContinuationConfig(objective=ObjectiveKind.MAX_RETURN_TO_RISK, mode=REV,
+                             beta=0.9, delta_c=1e-3, total_cost=0.1, steady_state_tol=0.0,
+                             fixed_total_risk=True)
+    return matrix, state, cfg
+
+
+class TestLazyReport:
+    """A step reads only what it needs of its report: the per-group vectors
+    are formed on first read, and the standalone pick is kept while the sign
+    pattern of the weights stands."""
+
+    @pytest.mark.parametrize("path", (clamping_min_risk, lambda: flagship_shaped(True),
+                                      ratio_revenue_only),
+                             ids=("clamping-min-risk", "fixed-total-risk",
+                                  "ratio-revenue-only"))
+    def test_matches_the_eager_report(self, path):
+        """Each path again with ``report_reference`` in place of ``report``:
+        every record field agrees bit for bit, and so do the reason and the
+        terminal state.  The carried frozen count is each record's count of
+        zero weights (a frozen weight is exactly 0 and an active one never
+        is), as the frozen mask's sum was."""
+        matrix, state, cfg = path()
+        lazy = run(matrix, state, cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(continuation, "report", report_reference)
+            eager = run(matrix, state, cfg)
+        assert lazy.reason == eager.reason
+        assert len(lazy.records) == len(eager.records) > 30
+        for got, want in zip(lazy.records, eager.records):
+            for field in dataclasses.fields(continuation.PathRecord):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                if isinstance(a, (tuple, int)):
+                    assert a == b, (got.step, field.name)
+                else:
+                    assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (got.step,
+                                                                                 field.name)
+            assert got.frozen_count == np.count_nonzero(got.weights == 0.0)
+        for name in ("weights", "frozen"):
+            assert (getattr(lazy.terminal_state, name).tobytes()
+                    == getattr(eager.terminal_state, name).tobytes())
+
+    def test_all_clamped_stop(self):
+        """The clamping path stops on the step that freezes its last group."""
+        matrix, state, cfg = clamping_min_risk()
+        res = run(matrix, state, cfg)
+        assert res.reason == "all-clamped"
+        assert res.terminal_record.frozen_count == state.n_groups
+        assert res.terminal_state.frozen.all()
+        assert all(rec.frozen_count < state.n_groups for rec in res.records[:-1])
+
+    def test_dar_and_pick_follow_the_solves(self, monkeypatch):
+        """On a flagship-shaped path DaR is formed once per solve, and the
+        standalone pick once per sign pattern: at the first report and at
+        each step that clamps."""
+        matrix, state, cfg = flagship_shaped()
+        calls = count_solves(monkeypatch)
+        log = []
+        for module, name in ((risk, "dar"), (risk, "_pick_standalone")):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *args, fn=fn, name=name: log.append(name) or fn(*args))
+        res = run(matrix, state, cfg)
+        clamps = sum(bool(rec.clamped_ids) for rec in res.records)
+        assert res.reason == "budget" and clamps > 3
+        assert 0 < len(calls) < len(res.records) - 1
+        assert log.count("dar") == len(calls)
+        assert log.count("_pick_standalone") == 1 + clamps
 
 
 class TestConvergence:

@@ -31,8 +31,8 @@ from cvarpath import (
     tail_split,
     var,
 )
-from oracle import (finite_difference_dar, loss_matrix, risk_contributions, standalone_cvar,
-                    tail_split_by_sort)
+from oracle import (EagerReport, finite_difference_dar, loss_matrix, report_reference,
+                    risk_contributions, standalone_cvar, tail_split_by_sort)
 from conftest import random_distribution, random_matrix, small_portfolio
 
 FIVE = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
@@ -715,14 +715,17 @@ class TestTailMemo:
     def test_memo_rows_are_the_nonzero_tail_weights(self, drawn):
         """The rows a new memo reads from the signature, and their weights,
         are the rows of nonzero weight in the dense split, whether or not the
-        split gives the VaR atom a share."""
+        split gives the VaR atom a share; its strict-tail and atom rows are
+        the signature's, decoded."""
         losses, probs, beta = drawn
         table = LossTable(initial_values=np.zeros(2), values=np.zeros((losses.size, 2)),
                           probabilities=probs)
-        _, (_, _, rows, tail, _) = risk._tail(table, losses, beta)
+        _, memo = risk._tail(table, losses, beta)
         weights = tail_split(losses, probs, beta).weights
-        np.testing.assert_array_equal(rows, np.flatnonzero(weights))
-        assert tail.tobytes() == weights[rows].tobytes()
+        np.testing.assert_array_equal(memo.rows, np.flatnonzero(weights))
+        assert memo.tail.tobytes() == weights[memo.rows].tobytes()
+        assert memo.above.tobytes() == memo.signature[0]
+        assert memo.at.tobytes() == memo.signature[1]
 
     def test_memo_keeps_tail_rows_only(self):
         """After a report the memo and the signature hold bytes and arrays
@@ -789,6 +792,78 @@ class TestTailMemo:
         assert log.count("split") == 1 + changes < len(res.records)
         assert log.count("rescale") == (20 if fixed_total_risk else 0)
         assert ("rescale", "split") not in zip(log, log[1:])
+
+
+def bits(value):
+    """A value as comparable bits: arrays and floats by dtype, shape and
+    bytes (so NaNs compare and -0.0 differs from 0.0), tuples item by item."""
+    if isinstance(value, tuple):
+        return tuple(bits(item) for item in value)
+    if isinstance(value, bytes):
+        return value
+    arr = np.asarray(value)
+    return arr.dtype.str, arr.shape, arr.tobytes()
+
+
+REPORT_FIELDS = [f.name for f in dataclasses.fields(EagerReport)]
+LAZY_FIELDS = ("contributions", "dar", "group_return_to_risk")
+
+
+@st.composite
+def sign_walks(draw, state):
+    """States under two sign patterns of the weights, A (the drawn state's)
+    and another, B, in the order A, B, A, each held for one to three
+    reports.  The magnitudes follow ``weight_moves``, and a held pattern
+    may keep the last weights, so the tail memo is both re-used and
+    replaced; a zero weight is frozen."""
+    n = state.n_groups
+    first = np.sign(state.weights)
+    second = np.array(draw(st.lists(st.sampled_from((-1.0, 0.0, 1.0)), min_size=n,
+                                    max_size=n)))
+    if np.array_equal(first, second):
+        second[0] = 1.0 if first[0] != 1.0 else -1.0
+    moves = draw(weight_moves(state))
+    states = []
+    for pattern in (first, second, first):
+        for _ in range(draw(st.integers(1, 3))):
+            weights = moves[len(states) % len(moves)].weights
+            if draw(st.booleans()) and states:
+                weights = states[-1].weights
+            magnitude = np.where(weights == 0.0, state.base_weights, np.abs(weights))
+            weights = pattern * magnitude
+            states.append(state.with_weights(weights, weights == 0.0))
+    return states
+
+
+class TestLazyReport:
+    """``report`` forms the per-group vectors on first read and keeps the
+    standalone pick of the last sign pattern; ``report_reference`` forms
+    every field at once.  Each field agrees bit for bit."""
+
+    @given(integer_tables(max_initial=3), st.sampled_from((0.0, 0.5, 0.9)), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_eager_report(self, drawn, beta, data):
+        """Along sign walks (frozen, negative and mixed scales, a pattern
+        revisited after another), on two tables of one history: every field
+        of each report, the lazy ones read first, in one order on one report
+        and in the other order on the next.  A column of zero loss has a
+        standalone CVaR of 0 at any scale, which reaches the NaN branch of
+        the group return-to-risk."""
+        table, state = drawn
+        values = table.values.copy()
+        if data.draw(st.booleans()):
+            values[:, 0] = table.initial_values[0]
+        table, twin = (LossTable(initial_values=table.initial_values, values=values,
+                                 probabilities=table.probabilities) for _ in range(2))
+        state = dataclasses.replace(
+            state, returns=np.array(data.draw(st.lists(st.floats(-0.1, 0.1),
+                                                       min_size=state.n_groups,
+                                                       max_size=state.n_groups))))
+        for i, at in enumerate(data.draw(sign_walks(state))):
+            got, want = report(table, at, beta), report_reference(twin, at, beta)
+            order = LAZY_FIELDS if i % 2 else LAZY_FIELDS[::-1]
+            for name in order + tuple(REPORT_FIELDS):
+                assert bits(getattr(got, name)) == bits(getattr(want, name)), (i, name)
 
 
 class TestMemory:
