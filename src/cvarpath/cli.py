@@ -109,13 +109,16 @@ def _states_from_config(cfg):
 
 def _check_output_dir(output):
     """Raise the ``OSError`` that opening ``output`` for writing would raise
-    if its directory is missing or is not a directory, so a path is not run
-    only to be lost at the write."""
+    if its directory is missing or is not a directory, or if ``output`` is a
+    directory itself, so a path is not run only to be lost at the write."""
     output = os.fspath(output)
     try:
-        if stat.S_ISDIR(os.stat(os.path.dirname(output) or os.curdir).st_mode):
+        if not stat.S_ISDIR(os.stat(os.path.dirname(output) or os.curdir).st_mode):
+            code = errno.ENOTDIR
+        elif os.path.isdir(output):
+            code = errno.EISDIR
+        else:
             return
-        code = errno.ENOTDIR
     except OSError as exc:
         code = exc.errno
     raise OSError(code, os.strerror(code), output)

@@ -61,6 +61,9 @@ class ContinuationConfig:
                    for name in ("beta", "delta_c", "total_cost", "steady_state_tol")]
         if isinstance(self.kappa_policy, FixedKappas):
             numbers += [("kappa1", self.kappa_policy.kappa1), ("kappa2", self.kappa_policy.kappa2)]
+        elif not isinstance(self.kappa_policy, ExtremumAutopilot):
+            raise ConfigError("kappa_policy must be a FixedKappas or an ExtremumAutopilot, "
+                              f"got {self.kappa_policy!r}")
         for name, value in numbers:
             if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
@@ -186,11 +189,8 @@ def _make_record(m, c, params, q, big_q, state, rep, clamped, frozen, factor, ba
 def _resolve_kappas(policy, consts, mode, maximize):
     if isinstance(policy, FixedKappas):
         return policy
-    if isinstance(policy, ExtremumAutopilot):
-        ext = extremum_kappas(consts, mode, policy.fixed_revenue,
-                              policy.fixed_second, maximize)
-        return PathParams(kappa1=ext.kappa1_bar, kappa2=ext.kappa2_bar)
-    raise ConfigError(f"unknown kappa policy {policy!r}")
+    ext = extremum_kappas(consts, mode, policy.fixed_revenue, policy.fixed_second, maximize)
+    return PathParams(kappa1=ext.kappa1_bar, kappa2=ext.kappa2_bar)
 
 
 def run(scenarios, state0, config):
@@ -205,9 +205,10 @@ def run(scenarios, state0, config):
     autopilot rates nor y.  A recomputed y differs from the reused one by
     rounding alone (on the flagship path by at most 4e-15 of its largest
     entry).  The tail signature fixes the tail weights: it holds the
-    strict-tail rows, the atom rows and the atom fraction.  Return-to-risk
-    without a second constraint and diversification have coefficients that
-    move with w, so those steps always solve.
+    strict-tail rows, the atom rows and the atom fraction.  Within a run
+    the frozen mask only grows, so the carried frozen count identifies it.
+    Return-to-risk without a second constraint and diversification have
+    coefficients that move with w, so those steps always solve.
     """
     table = build_losses(scenarios)
     state = state0
@@ -226,7 +227,7 @@ def run(scenarios, state0, config):
         if frozen == n:
             reason = "all-clamped"
             break
-        key = (rep.tail_signature, state.frozen.tobytes()) if reusable else None
+        key = (rep.tail_signature, frozen) if reusable else None
         if key is None or key != solved_key:
             try:
                 coeffs = select_coefficients(config.objective, state, rep, config.mode)
@@ -290,7 +291,7 @@ def convergence_study(scenarios, state0, base_config, delta_c_list, total_cost):
     if len(delta_c_list) < 3:
         raise ConfigError("need at least 3 step sizes")
     if any(a <= b for a, b in zip(delta_c_list, delta_c_list[1:])):
-        raise ConfigError("step sizes must be sorted in descending order")
+        raise ConfigError("step sizes must be distinct and in descending order")
     results = []
     for dc in delta_c_list:
         cfg = replace(base_config, delta_c=dc, total_cost=total_cost, max_steps=None)

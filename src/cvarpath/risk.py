@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -140,7 +139,7 @@ class LossTable:
     _column_cvars: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # beta -> (np.sign(w / w_base) as bytes, known[sign + 1, n] for each column n)
     _standalone_pick: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # beta -> _TailMemo of the last tail set
+    # beta -> (TailSet, its Euler numerator) of the last tail set
     _tail_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -285,21 +284,24 @@ def initial_state(scenarios, returns, cost_coefficients=None):
 
 @dataclass(frozen=True)
 class TailSet:
-    """The tail scenario set behind a CVaR evaluation.
+    """The tail scenario set behind a CVaR evaluation, over its tail rows only.
 
-    ``weights`` holds the effective probability mass each scenario contributes
-    to the tail; scenarios at the VaR atom carry only the split fraction.
-    ``signature`` identifies the tail set for kink detection: the ascending
-    strict-tail rows and atom rows, each as the bytes of an ``np.intp``
-    array (8 B a row; ``np.frombuffer`` reads them back), and the atom
-    fraction.
+    ``above`` and ``at`` are the ascending strict-tail and VaR-atom rows as
+    ``np.intp`` arrays.  ``rows`` are the ascending rows of nonzero tail
+    weight and ``tail`` their effective probability mass; atom rows carry
+    only the split fraction.  Every other row has weight 0.  ``signature``
+    identifies the tail set for kink detection: the bytes of ``above`` and of
+    ``at`` (8 B a row) and the atom fraction.
     """
 
     var: float
     beta: float
     beta_star: float
     beta_star_prime: float
-    weights: np.ndarray
+    above: np.ndarray
+    at: np.ndarray
+    rows: np.ndarray
+    tail: np.ndarray
     signature: tuple
 
 
@@ -387,12 +389,13 @@ def _top_rows(losses, m):
     return cut, (losses >= cut).nonzero()[0]
 
 
-def _select_tail(losses, probabilities, beta):
+def _split(losses, probabilities, beta):
     """The selection behind ``var``, ``tail_split`` and ``cvar``.
 
-    Returns the validated losses and probabilities, the ascending indices of
-    the candidate rows (loss >= cut, from ``_top_rows``), VaR and
-    beta_star = P(L < VaR).
+    Returns the validated losses and probabilities, VaR, beta_star =
+    P(L < VaR), the ascending rows above VaR and at it, the atom's
+    probability mass and the share of it the tail takes.  Only the candidate
+    rows (loss >= cut, from ``_top_rows``) are sorted and split.
     """
     losses, probabilities = _tail_inputs(losses, probabilities)
     if not 0.0 <= beta < 1.0:
@@ -414,7 +417,11 @@ def _select_tail(losses, probabilities, beta):
     v = ascending[min(int(cdf.searchsorted(beta - _CDF_SLACK)), ascending.size - 1)]
     first = int(ascending.searchsorted(v))
     beta_star = float(cdf[first - 1]) if first else below
-    return losses, probabilities, rows, float(v), beta_star
+    above = rows[candidates > v]
+    at = rows[candidates == v]
+    atom_mass = float(probabilities[at].sum())
+    fraction = min(max((beta_star + atom_mass - beta) / atom_mass, 0.0), 1.0)
+    return losses, probabilities, float(v), beta_star, above, at, atom_mass, fraction
 
 
 def var(losses, probabilities, beta):
@@ -431,48 +438,43 @@ def var(losses, probabilities, beta):
     P(L < t) <= beta - 1/K, so this never happens.  A non-finite loss or
     probability raises ``DataError``.
     """
-    return _select_tail(losses, probabilities, beta)[3]
-
-
-def _atom_split(losses, probabilities, rows, v, beta_star, beta):
-    """The candidate ``rows`` split at VaR ``v``: the rows above it, the rows
-    at it, their probability mass and the share of it the tail takes."""
-    candidates = losses[rows]
-    above = rows[candidates > v]
-    at = rows[candidates == v]
-    atom_mass = float(probabilities[at].sum())
-    fraction = min(max((beta_star + atom_mass - beta) / atom_mass, 0.0), 1.0)
-    return above, at, atom_mass, fraction
+    return _split(losses, probabilities, beta)[2]
 
 
 def tail_split(losses, probabilities, beta):
-    """VaR plus the pro-rata tail mass of every scenario (atom split included).
+    """VaR plus the tail rows and their pro-rata tail mass (atom split included).
 
     Uses the cut of ``var``: every row with loss >= VaR is a candidate row at
     or above it, so only those rows are split into strict tail and VaR atom
-    (every row, when the cut falls back to the full set); all others get
-    weight 0.
+    (every row, when the cut falls back to the full set); all others have
+    weight 0 and appear in no field.  The rows of nonzero weight are the
+    strict-tail rows, and the atom rows when the atom takes a share; a row
+    whose weight is 0 is dropped.
     """
-    losses, probabilities, rows, v, beta_star = _select_tail(losses, probabilities, beta)
-    above, at, atom_mass, fraction = _atom_split(losses, probabilities, rows, v, beta_star,
-                                                 beta)
-    weights = np.zeros(losses.size)
-    weights[above] = probabilities[above]
-    weights[at] = probabilities[at] * fraction
+    _, probabilities, v, beta_star, above, at, atom_mass, fraction = _split(
+        losses, probabilities, beta)
+    rows, tail = above, probabilities[above]
+    if fraction > 0.0:
+        rows = np.concatenate((above, at))
+        tail = np.concatenate((tail, probabilities[at] * fraction))
+        order = rows.argsort()
+        rows, tail = rows[order], tail[order]
+    nonzero = tail != 0.0
     return TailSet(var=v, beta=beta, beta_star=beta_star,
-                   beta_star_prime=beta_star + atom_mass, weights=weights,
+                   beta_star_prime=beta_star + atom_mass, above=above, at=at,
+                   rows=rows[nonzero], tail=tail[nonzero],
                    signature=(above.tobytes(), at.tobytes(), fraction))
 
 
 def cvar(losses, probabilities, beta):
     """Atom-splitting CVaR: (partial tail expectation + split mass x VaR) / (1 - beta).
 
-    Sums the selected tail rows alone; ``tail_split(...).weights @ losses``
-    is the same sum over every row.
+    Sums the strict-tail rows and the atom's share of VaR, and builds no
+    ``TailSet``; ``ts.tail @ losses[ts.rows]`` of ``ts = tail_split(...)``
+    is the same sum in another order.
     """
-    losses, probabilities, rows, v, beta_star = _select_tail(losses, probabilities, beta)
-    above, _, atom_mass, fraction = _atom_split(losses, probabilities, rows, v, beta_star,
-                                                beta)
+    losses, probabilities, v, _, above, _, atom_mass, fraction = _split(
+        losses, probabilities, beta)
     tail_mean = float(probabilities[above] @ losses[above]) + fraction * atom_mass * v
     return tail_mean / (1.0 - beta)
 
@@ -610,20 +612,9 @@ def _euler_numerator(table, rows, tail):
     return tail.sum() * table.initial_values - gathered
 
 
-class _TailMemo(NamedTuple):
-    """A table's last tail set for one beta, over its tail rows only."""
-
-    signature: tuple
-    beta_star: float
-    above: np.ndarray  # the strict-tail rows, read from the signature's bytes
-    at: np.ndarray  # the atom rows, likewise
-    rows: np.ndarray  # the rows of nonzero tail weight t
-    tail: np.ndarray  # t at those rows
-    numerator: np.ndarray  # sum(t) * x0 - t @ V[rows]
-
-
 def _tail(table, total, beta):
-    """VaR of the losses ``total`` and the table's ``_TailMemo`` for this beta.
+    """VaR of the losses ``total`` and the table's memo for this beta: the
+    last ``TailSet`` and its Euler numerator sum(t) * x0 - t @ V[rows].
 
     The memo is reused while its tail set stands: the losses are finite (the
     one dot product of the tail split), the atom rows are still tied at v (a
@@ -631,31 +622,20 @@ def _tail(table, total, beta):
     no other row reaches v.  The rows above and at VaR are then the kept
     ones, so P(L < v) and P(L <= v) are too: v is VaR, and the split
     fraction, tail weights and signature are the kept ones.  Otherwise the
-    losses are split anew and the memo replaced.  Its strict-tail and atom
-    rows are read once from the signature bytes (views of them, no copy).
-    Its rows of nonzero weight are the strict-tail rows, and the atom rows
-    when the atom takes a share, rather than a scan of the dense weights; a
-    row whose weight is 0 is dropped.  The memo holds no K-length array and
-    no Python object per row.
+    losses are split anew and the memo replaced.  A kept ``TailSet``'s VaR
+    is that of its split; the VaR returned is the current one.  The memo
+    holds no K-length array and no Python object per row.
     """
     memo = table._tail_memo.get(beta)
     if memo is not None and math.isfinite(np.vdot(table.probabilities, total)):
-        above, at = memo.above, memo.at
+        above, at = memo[0].above, memo[0].at
         v = total[at[0]]
         if ((at.size == 1 or (total[at] == v).all())
                 and (above.size == 0 or total[above].min() > v)
                 and np.count_nonzero(total >= v) == above.size + at.size):
             return float(v), memo
     ts = tail_split(total, table.probabilities, beta)
-    above, at, fraction = ts.signature
-    above, at = np.frombuffer(above, dtype=np.intp), np.frombuffer(at, dtype=np.intp)
-    rows = above
-    if fraction > 0.0:
-        rows = np.sort(np.concatenate((above, at)))
-    rows = rows[ts.weights[rows] != 0.0]
-    tail = ts.weights[rows]
-    memo = table._tail_memo[beta] = _TailMemo(ts.signature, ts.beta_star, above, at, rows,
-                                              tail, _euler_numerator(table, rows, tail))
+    memo = table._tail_memo[beta] = (ts, _euler_numerator(table, ts.rows, ts.tail))
     return ts.var, memo
 
 
@@ -678,9 +658,9 @@ def report(table, state, beta):
     scale = state.weights / state.base_weights
     standalone = _standalone_cvars(table, scale, beta)
     total = _losses(table, scale)
-    v, memo = _tail(table, total, beta)
+    v, (ts, numerator) = _tail(table, total, beta)
     inv_tail = 1.0 / (1.0 - beta)
-    cvar_total = float(memo.tail @ total[memo.rows]) * inv_tail
+    cvar_total = float(ts.tail @ total[ts.rows]) * inv_tail
     standalone_sum = float(standalone.sum())
     diversification = cvar_total / standalone_sum if standalone_sum != 0.0 else np.nan
     total_return = state.total_return
@@ -688,6 +668,6 @@ def report(table, state, beta):
     return RiskReport(var=v, cvar=cvar_total, standalone_cvar=standalone,
                       diversification_index=diversification,
                       total_return=total_return, total_return_to_risk=total_re2ri,
-                      revenue=state.revenue, beta_star=memo.beta_star,
-                      tail_signature=memo.signature, _numerator=memo.numerator,
+                      revenue=state.revenue, beta_star=ts.beta_star,
+                      tail_signature=ts.signature, _numerator=numerator,
                       _scale=scale, _inv_tail=inv_tail, _state=state)

@@ -31,9 +31,10 @@ def tail_split_by_sort(losses, probabilities, beta):
 
     Ties are merged into atoms with ``np.unique``; VaR is the first atom whose
     CDF reaches beta and the atom at VaR carries the split fraction.  The
-    signature holds the strict-tail and atom rows of its own masks in the
-    engine's form, the bytes of ascending ``np.intp`` arrays, so equal
-    signatures mean equal index sets.
+    tail weights are scattered into a K-length vector and its nonzero rows
+    read back.  The strict-tail and atom rows are those of its own masks in
+    the engine's form, ascending ``np.intp`` arrays, and the signature holds
+    their bytes, so equal signatures mean equal index sets.
     """
     losses = np.asarray(losses, dtype=float)
     probabilities = np.asarray(probabilities, dtype=float)
@@ -52,10 +53,20 @@ def tail_split_by_sort(losses, probabilities, beta):
     fraction = min(max((beta_star_prime - beta) / atom_mass, 0.0), 1.0)
     weights = np.where(above, probabilities, 0.0)
     weights[at] = probabilities[at] * fraction
-    signature = (np.flatnonzero(above).tobytes(), np.flatnonzero(at).tobytes(), fraction)
+    above, at, rows = np.flatnonzero(above), np.flatnonzero(at), np.flatnonzero(weights)
     return TailSet(var=v, beta=beta, beta_star=beta_star,
-                   beta_star_prime=beta_star_prime, weights=weights,
-                   signature=signature)
+                   beta_star_prime=beta_star_prime, above=above, at=at, rows=rows,
+                   tail=weights[rows], signature=(above.tobytes(), at.tobytes(), fraction))
+
+
+def dense_tail_weights(ts, probabilities):
+    """The K-length tail weights of a ``TailSet`` as ``tail_split`` once
+    scattered them: p at the strict-tail rows, p times the atom fraction at
+    the atom rows, 0 at every other row."""
+    weights = np.zeros(probabilities.size)
+    weights[ts.above] = probabilities[ts.above]
+    weights[ts.at] = probabilities[ts.at] * ts.signature[2]
+    return weights
 
 
 def loss_matrix(table):
@@ -67,7 +78,7 @@ def risk_contributions(table, state, beta):
     """Euler allocation of CVaR over the tail scenario set used by ``cvar``."""
     ts = tail_split(portfolio_losses(table, state), table.probabilities, beta)
     scaled = loss_matrix(table) * (state.weights / state.base_weights)
-    return (ts.weights @ scaled) / (1.0 - beta)
+    return (ts.tail @ scaled[ts.rows]) / (1.0 - beta)
 
 
 def standalone_cvar(table, state, n, beta):
@@ -253,7 +264,7 @@ def finite_difference_dar(table, state, beta, n, epsilon):
         bumped = replace(state, weights=weights)
         losses = portfolio_losses(table, bumped)
         ts = tail_split(losses, table.probabilities, beta)
-        value = float(ts.weights @ losses) / (1.0 - beta)
+        value = float(ts.tail @ losses[ts.rows]) / (1.0 - beta)
         return value, ts.signature
 
     up, sig_up = evaluate(epsilon)
@@ -332,10 +343,10 @@ def report_reference(table, state, beta):
     scale = state.weights / state.base_weights
     standalone = _standalone_reference(table, scale, beta)
     total = portfolio_losses(table, state)
-    v, memo = risk._tail(table, total, beta)
+    v, (ts, numerator) = risk._tail(table, total, beta)
     inv_tail = 1.0 / (1.0 - beta)
-    cvar_total = float(memo.tail @ total[memo.rows]) * inv_tail
-    contributions = memo.numerator * scale * inv_tail
+    cvar_total = float(ts.tail @ total[ts.rows]) * inv_tail
+    contributions = numerator * scale * inv_tail
     dar_values = dar(contributions, state)
     standalone_sum = float(standalone.sum())
     diversification = cvar_total / standalone_sum if standalone_sum != 0.0 else np.nan
@@ -350,4 +361,4 @@ def report_reference(table, state, beta):
                        diversification_index=diversification,
                        total_return=total_return, total_return_to_risk=total_re2ri,
                        group_return_to_risk=group_re2ri, revenue=state.revenue,
-                       beta_star=memo.beta_star, tail_signature=memo.signature)
+                       beta_star=ts.beta_star, tail_signature=ts.signature)

@@ -158,6 +158,25 @@ class TestOptimize:
         assert capsys.readouterr().err == f"error_code=io {raised.value}\n"
         assert not output.parent.is_dir()
 
+    def test_directory_output_fails_before_the_run(self, tmp_path, capsys, monkeypatch):
+        """An output that is an existing directory ends in the error that
+        writing it would raise, without running the path."""
+        cfg = self.write_config(tmp_path, gen_file(tmp_path))
+        output = tmp_path / "out"
+        output.mkdir()
+        with pytest.raises(OSError) as raised:
+            open(output, "w")
+        capsys.readouterr()
+
+        def no_run(*args):
+            raise AssertionError("the path ran")
+
+        monkeypatch.setattr(cli, "run", no_run)
+        code = main(["optimize", "--config", str(cfg), "--output", str(output)])
+        assert code == EXIT_DOMAIN
+        assert capsys.readouterr().err == f"error_code=io {raised.value}\n"
+        assert list(output.iterdir()) == []
+
     def test_output_override(self, tmp_path):
         scen = gen_file(tmp_path)
         cfg = self.write_config(tmp_path, scen)
@@ -531,6 +550,15 @@ class TestConvergence:
         text = capsys.readouterr().out
         assert "delta_c,terminal_cvar_rel,error,failed,reason" in text
         assert "slope=" in text
+
+
+    def test_repeated_step_size_is_named(self, tmp_path, capsys):
+        """``--deltas`` is sorted, so only a repeat can break the order."""
+        cfg = write_good_config(tmp_path, gen_file(tmp_path))
+        code = main(["convergence", "--config", str(cfg), "--deltas", "1e-2,1e-2,1e-3"])
+        assert code == EXIT_DOMAIN
+        assert capsys.readouterr().err == ("error_code=config step sizes must be distinct "
+                                           "and in descending order\n")
 
 
 class TestOutOfMemory:

@@ -413,6 +413,16 @@ class TestTermination:
         res = run(matrix, state, cfg)
         assert [(r.kappa1, r.kappa2) for r in res.records] == [(0.0, 0.0)] + [(-0.5, 0.0)] * 3
 
+    @pytest.mark.parametrize("policy", ("bogus", None, FixedKappas, ExtremumAutopilot))
+    def test_unknown_kappa_policy_rejected(self, policy):
+        """A policy that is neither fixed rates nor the autopilot (a class
+        itself included) is refused where it enters, though no step would
+        read it."""
+        with pytest.raises(ConfigError, match="^kappa_policy must be a FixedKappas or an "
+                                              "ExtremumAutopilot, got "):
+            ContinuationConfig(objective=ObjectiveKind.MIN_RISK, mode=REV,
+                               kappa_policy=policy, total_cost=0.0)
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             ContinuationConfig(objective=ObjectiveKind.MIN_RISK, mode=REV, delta_c=0.0)
@@ -530,6 +540,31 @@ class TestStepReuse:
         keys = [(r.tail_signature, r.frozen_count) for r in res.records]
         changes = sum(a != b for a, b in zip(keys, keys[1:]))
         assert len(calls) == 1 + changes < len(res.records) / 2
+
+    def test_a_clamp_solves_anew(self, monkeypatch):
+        """Steepest min-risk descent clamps one group after another.  On the
+        path itself a step solves exactly when its tail set or frozen count
+        differs from the last solve's.  With every report's signature pinned
+        to one value, only a clamp changes the key: one solve, then one per
+        clamp until every group is frozen."""
+        matrix, state, cfg = clamping_min_risk()
+        calls = count_solves(monkeypatch)
+        res = run(matrix, state, cfg)
+        assert res.reason == "all-clamped"
+        # record m holds the tail set and count that step m + 1 is keyed on;
+        # the last record, all groups frozen, keys no step
+        keys = [(r.tail_signature, r.frozen_count) for r in res.records[:-1]]
+        assert len(calls) == 1 + sum(a != b for a, b in zip(keys, keys[1:]))
+        pinned = (b"", b"", 0.0)
+        fresh_report = continuation.report
+        monkeypatch.setattr(continuation, "report", lambda *args: dataclasses.replace(
+            fresh_report(*args), tail_signature=pinned))
+        calls.clear()
+        res = run(matrix, state, cfg)
+        assert res.reason == "all-clamped"
+        clamps = sum(bool(r.clamped_ids) for r in res.records[:-1])
+        assert clamps >= 2
+        assert len(calls) == 1 + clamps
 
     @pytest.mark.parametrize("second", ("return", "risk"))
     def test_ratio_with_a_second_constraint_reuses(self, monkeypatch, second):
@@ -660,7 +695,8 @@ class TestConvergence:
 
     def test_equal_step_sizes_rejected(self):
         matrix, state = small_portfolio(seed=51)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError,
+                           match="^step sizes must be distinct and in descending order$"):
             convergence_study(matrix, state, self.base_config(),
                               [1e-2, 1e-2, 1e-3], 0.01)
         with pytest.raises(ConfigError):

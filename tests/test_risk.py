@@ -31,8 +31,8 @@ from cvarpath import (
     tail_split,
     var,
 )
-from oracle import (EagerReport, finite_difference_dar, loss_matrix, report_reference,
-                    risk_contributions, standalone_cvar, tail_split_by_sort)
+from oracle import (EagerReport, dense_tail_weights, finite_difference_dar, loss_matrix,
+                    report_reference, risk_contributions, standalone_cvar, tail_split_by_sort)
 from conftest import random_distribution, random_matrix, small_portfolio
 
 FIVE = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
@@ -66,8 +66,11 @@ class TestVarCvarHandValues:
         assert ts.var == 3.0
         assert ts.beta_star == pytest.approx(0.6)
         assert ts.beta_star_prime == pytest.approx(0.8)
-        np.testing.assert_allclose(ts.weights, [0.0, 0.0, 0.0, 0.1, 0.2])
-        assert ts.weights.sum() == pytest.approx(1.0 - 0.7)
+        np.testing.assert_array_equal(ts.above, [4])
+        np.testing.assert_array_equal(ts.at, [3])
+        np.testing.assert_array_equal(ts.rows, [3, 4])
+        np.testing.assert_allclose(ts.tail, [0.1, 0.2])
+        assert ts.tail.sum() == pytest.approx(1.0 - 0.7)
 
     def test_invalid_beta_rejected(self):
         with pytest.raises(DomainError):
@@ -109,9 +112,33 @@ class TestTailSelection:
         want = tail_split_by_sort(losses, probs, beta)
         assert got.var == want.var == var(losses, probs, beta)
         assert got.signature[:2] == want.signature[:2]
+        for name in ("above", "at"):
+            assert getattr(got, name).dtype == getattr(want, name).dtype == np.intp
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
         assert abs(got.beta_star - want.beta_star) <= tol
         assert abs(got.beta_star_prime - want.beta_star_prime) <= tol
-        np.testing.assert_allclose(got.weights, want.weights, rtol=0.0, atol=tol)
+        np.testing.assert_allclose(dense_tail_weights(got, probs),
+                                   dense_tail_weights(want, probs), rtol=0.0, atol=tol)
+
+    @given(loss_distributions())
+    @example((np.arange(4.0), np.array([0.5, 0.25, 0.25, 0.0]), 0.5))  # a strict-tail row of mass 0
+    @example((FIVE, FIVE_P, 0.8))  # the atom takes no share
+    @settings(max_examples=300, deadline=None)
+    def test_rows_and_tail_are_the_dense_construction(self, drawn):
+        """``rows`` and ``tail`` against the K-length weights scattered from
+        ``above``, ``at`` and the atom fraction, read back at the strict-tail
+        rows, merged with the atom rows when the atom takes a share, less
+        every row of weight 0: the same rows and weights, bit for bit."""
+        losses, probs, beta = drawn
+        ts = tail_split(losses, probs, beta)
+        weights = dense_tail_weights(ts, probs)
+        rows = ts.above
+        if ts.signature[2] > 0.0:
+            rows = np.sort(np.concatenate((ts.above, ts.at)))
+        rows = rows[weights[rows] != 0.0]
+        assert ts.rows.dtype == np.intp
+        np.testing.assert_array_equal(ts.rows, rows)
+        assert ts.tail.tobytes() == weights[rows].tobytes()
 
     def test_light_top_rows_fall_back_to_every_row(self):
         """P(L < cut) reaches beta, so VaR lies below the cut's candidates."""
@@ -169,17 +196,19 @@ class TestTailSelection:
     @given(loss_distributions())
     @example((np.full(2, float.fromhex("0x0.0000a7c5ac472p-1022")), np.full(2, 0.5), 0.5))
     @settings(max_examples=400, deadline=None)
-    def test_cvar_sums_the_dense_split(self, drawn):
-        """``cvar`` sums the selected tail rows alone; the dense split's
-        ``weights @ losses``, a sum over every row, is its slow path.  Both
-        sum at most K terms of the tail mean, so they agree within K eps
-        relative.  A product whose result is subnormal errs by up to half of
-        2**-1074 absolute instead: the at most 2K products of the two sums,
-        the split atom's two and the two divisions add at most
-        (K + 2) 2**-1074 / (1 - beta).  The example's atom of two subnormal
-        losses is halved on both paths, which then end 1e-323 apart."""
+    def test_cvar_sums_the_split_rows(self, drawn):
+        """``cvar`` sums the strict-tail rows and the atom's share of VaR;
+        the split's ``tail @ losses[rows]``, a sum over its rows of nonzero
+        weight, is its slow path.  Both sum at most K terms of the tail mean,
+        so they agree within K eps relative.  A product whose result is
+        subnormal errs by up to half of 2**-1074 absolute instead: the at
+        most 2K products of the two sums, the split atom's two and the two
+        divisions add at most (K + 2) 2**-1074 / (1 - beta).  The example's
+        atom of two subnormal losses is halved on both paths, which then end
+        1e-323 apart."""
         losses, probs, beta = drawn
-        want = tail_split(losses, probs, beta).weights @ losses / (1.0 - beta)
+        ts = tail_split(losses, probs, beta)
+        want = ts.tail @ losses[ts.rows] / (1.0 - beta)
         tol = (losses.size * np.finfo(float).eps * np.abs(losses).max()
                + (losses.size + 2) * 2.0 ** -1074 / (1.0 - beta))
         assert abs(cvar(losses, probs, beta) - want) <= tol
@@ -190,12 +219,12 @@ FULL_PARTITION = 10 ** 9  # no sampled cut at any K a test draws
 
 
 def selection(losses, probs, beta, sample_rows):
-    """Rows, VaR, beta_star and CVaR as float bits, with the sampled cut's
-    ``_SAMPLE_ROWS`` set to ``sample_rows``."""
+    """The strict-tail and atom rows, and VaR, beta_star and CVaR as float
+    bits, with the sampled cut's ``_SAMPLE_ROWS`` set to ``sample_rows``."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(risk, "_SAMPLE_ROWS", sample_rows)
-        _, _, rows, v, beta_star = risk._select_tail(losses, probs, beta)
-        return rows, v.hex(), beta_star.hex(), cvar(losses, probs, beta).hex()
+        _, _, v, beta_star, above, at, _, _ = risk._split(losses, probs, beta)
+        return above, at, v.hex(), beta_star.hex(), cvar(losses, probs, beta).hex()
 
 
 @st.composite
@@ -224,14 +253,15 @@ class TestSampledCut:
     @settings(max_examples=400, deadline=None)
     def test_matches_full_partition(self, drawn):
         """Ties, unequal masses, sorted rows and rows whose period is the
-        sample's stride: the same candidate rows, VaR, beta_star and CVaR,
-        bit for bit."""
+        sample's stride: the same strict-tail and atom rows, VaR, beta_star
+        and CVaR, bit for bit."""
         losses, probs, beta = drawn
         got = selection(losses, probs, beta, SAMPLE_ROWS)
         want = selection(losses, probs, beta, FULL_PARTITION)
-        assert got[0].dtype == want[0].dtype == np.intp
-        np.testing.assert_array_equal(got[0], want[0])
-        assert got[1:] == want[1:]
+        for rows, same in zip(got[:2], want[:2]):
+            assert rows.dtype == same.dtype == np.intp
+            np.testing.assert_array_equal(rows, same)
+        assert got[2:] == want[2:]
 
     @staticmethod
     def partitioned_sizes(monkeypatch, losses, beta):
@@ -239,7 +269,7 @@ class TestSampledCut:
         partition = np.partition
         monkeypatch.setattr(np, "partition",
                             lambda a, kth: sizes.append(np.size(a)) or partition(a, kth))
-        risk._select_tail(losses, np.full(losses.size, 1.0 / losses.size), beta)
+        risk._split(losses, np.full(losses.size, 1.0 / losses.size), beta)
         return sizes
 
     def test_continuous_losses_take_the_sampled_cut(self, monkeypatch):
@@ -713,19 +743,19 @@ class TestTailMemo:
     @given(loss_distributions())
     @settings(max_examples=300, deadline=None)
     def test_memo_rows_are_the_nonzero_tail_weights(self, drawn):
-        """The rows a new memo reads from the signature, and their weights,
-        are the rows of nonzero weight in the dense split, whether or not the
-        split gives the VaR atom a share; its strict-tail and atom rows are
-        the signature's, decoded."""
+        """The rows of a new memo's ``TailSet``, and their weights, are the
+        rows of nonzero weight in the dense split, whether or not the split
+        gives the VaR atom a share; its strict-tail and atom rows are the
+        ones whose bytes the signature holds."""
         losses, probs, beta = drawn
         table = LossTable(initial_values=np.zeros(2), values=np.zeros((losses.size, 2)),
                           probabilities=probs)
-        _, memo = risk._tail(table, losses, beta)
-        weights = tail_split(losses, probs, beta).weights
-        np.testing.assert_array_equal(memo.rows, np.flatnonzero(weights))
-        assert memo.tail.tobytes() == weights[memo.rows].tobytes()
-        assert memo.above.tobytes() == memo.signature[0]
-        assert memo.at.tobytes() == memo.signature[1]
+        _, (ts, _) = risk._tail(table, losses, beta)
+        weights = dense_tail_weights(ts, probs)
+        np.testing.assert_array_equal(ts.rows, np.flatnonzero(weights))
+        assert ts.tail.tobytes() == weights[ts.rows].tobytes()
+        assert ts.above.tobytes() == ts.signature[0]
+        assert ts.at.tobytes() == ts.signature[1]
 
     def test_memo_keeps_tail_rows_only(self):
         """After a report the memo and the signature hold bytes and arrays
@@ -734,10 +764,13 @@ class TestTailMemo:
         matrix, state = small_portfolio(seed=0, n=6, k=300)
         table = build_losses(matrix)
         rep = report(table, state, 0.9)
-        signature, beta_star, *arrays = table._tail_memo[0.9]
-        assert signature is rep.tail_signature
-        assert beta_star == rep.beta_star
-        above, at, fraction = signature
+        ts, numerator = table._tail_memo[0.9]
+        assert ts.signature is rep.tail_signature
+        assert ts.beta_star == rep.beta_star
+        arrays = [value for value in vars(ts).values() if isinstance(value, np.ndarray)]
+        arrays.append(numerator)
+        assert len(arrays) == 5
+        above, at, fraction = ts.signature
         assert type(above) is type(at) is bytes and type(fraction) is float
         tail_rows = (len(above) + len(at)) // np.dtype(np.intp).itemsize
         assert 0 < tail_rows < 300 // 2
@@ -751,8 +784,7 @@ class TestTailMemo:
         matrix, state = small_portfolio(seed=3, n=6, k=310)
         table = build_losses(matrix)
         ts = tail_split(portfolio_losses(table, state), table.probabilities, 0.9)
-        rows = np.flatnonzero(ts.weights)
-        tail = ts.weights[rows]
+        rows, tail = ts.rows, ts.tail
         assert rows.size % 3  # a last chunk shorter than the others
         block = table.values[rows]
         want = tail.sum() * table.initial_values - tail @ block
@@ -921,6 +953,17 @@ class TestMemory:
             tracemalloc.stop()
         assert len(result.records) == 6
         assert kept < bound
+
+    def test_tail_set_holds_tail_rows_only(self):
+        """At K = 200,000 every array a ``TailSet`` holds is no longer than its
+        strict-tail and atom rows together: no K-length vector."""
+        k = 200_000
+        losses = np.random.default_rng(9).normal(size=k)
+        ts = tail_split(losses, np.full(k, 1.0 / k), 0.95)
+        tail_rows = (len(ts.signature[0]) + len(ts.signature[1])) // np.dtype(np.intp).itemsize
+        assert 0 < tail_rows < k // 10
+        arrays = [value for value in vars(ts).values() if isinstance(value, np.ndarray)]
+        assert arrays and all(arr.size <= tail_rows for arr in arrays)
 
     def test_matrix_checks(self, portfolio):
         """The finiteness and identical-column checks of a new matrix form
