@@ -1,11 +1,11 @@
 """Path continuation: chained single-step optimizations along the cost parameter.
 
 Each step re-evaluates the risk report at the current weights, rebuilds the
-coefficient vectors over the active components, obtains the path rates from
-the configured policy, solves the closed-form step (or, on the linear
-objectives, reuses the last solve while the tail set and frozen mask stand),
-applies the weight update with optional zero clamping and fixed-risk
-rescaling, and records the resulting metrics.
+coefficient vectors over the active components, solves the closed-form step
+under the configured rates policy, which ``solve_step`` resolves itself (or,
+on the linear objectives, reuses the last solve while the tail set and frozen
+mask stand), applies the weight update with optional zero clamping and
+fixed-risk rescaling, and records the resulting metrics.
 """
 from __future__ import annotations
 
@@ -17,9 +17,10 @@ import numpy as np
 
 from .errors import (ConfigError, DegenerateProblemError, DomainError, InfeasibleStepError,
                      PortfolioError)
-from .projection import (ConstraintMode, ObjectiveKind, PathParams,
-                         constants, effective_problem, extremum_kappas,
-                         select_coefficients, solve_step, validate_mode)
+from .projection import extremum_kappas  # noqa: F401  wrapped by perfbench/tracing.TARGETS
+from .projection import (ConstraintMode, ExtremumAutopilot, ObjectiveKind, PathParams,
+                         constants, effective_problem, select_coefficients, solve_step,
+                         validate_mode)
 from .risk import build_losses, report
 
 
@@ -29,17 +30,6 @@ _AT_REST = FixedKappas()  # the default policy, and the rates of the step-0 reco
 # tail set is new (records share the signature while the set stands): about
 # 1.5 KB a record on the flagship path, so this is about 1.5 GB of path.
 _MAX_STEPS = 10**6
-
-
-@dataclass(frozen=True)
-class ExtremumAutopilot:
-    """Re-derive the steepest-path rates from fresh constants at every step.
-
-    A fixed flag pins that rate to zero instead of optimizing over it.
-    """
-
-    fixed_revenue: bool = False
-    fixed_second: bool = False
 
 
 @dataclass(frozen=True)
@@ -97,9 +87,7 @@ class ContinuationConfig:
     @property
     def n_steps(self):
         steps = int(round(self.total_cost / self.delta_c))
-        if self.max_steps is not None:
-            steps = min(steps, self.max_steps)
-        return steps
+        return steps if self.max_steps is None else min(steps, self.max_steps)
 
 
 @dataclass(frozen=True)
@@ -167,14 +155,12 @@ def rescale_fixed_risk(state, cvar_before, cvar_after):
 
 
 def _relative(value, base):
-    if base == 0.0 or not math.isfinite(base):
-        return np.nan
-    return value / base
+    return value / base if base != 0.0 and math.isfinite(base) else np.nan
 
 
-def _make_record(m, c, params, q, big_q, state, rep, clamped, frozen, factor, base):
+def _make_record(m, c, rates, q, big_q, state, rep, clamped, frozen, factor, base):
     return PathRecord(
-        step=m, c=c, kappa1=params.kappa1, kappa2=params.kappa2, q=q, Q=big_q,
+        step=m, c=c, kappa1=rates.kappa1, kappa2=rates.kappa2, q=q, Q=big_q,
         weights=state.weights.copy(), cvar=rep.cvar, total_return=rep.total_return,
         revenue=rep.revenue, diversification_index=rep.diversification_index,
         cvar_rel=_relative(rep.cvar, base["cvar"]),
@@ -186,23 +172,16 @@ def _make_record(m, c, params, q, big_q, state, rep, clamped, frozen, factor, ba
         rescale_factor=factor, tail_signature=rep.tail_signature)
 
 
-def _resolve_kappas(policy, consts, mode, maximize):
-    if isinstance(policy, FixedKappas):
-        return policy
-    ext = extremum_kappas(consts, mode, policy.fixed_revenue, policy.fixed_second, maximize)
-    return PathParams(kappa1=ext.kappa1_bar, kappa2=ext.kappa2_bar)
-
-
 def run(scenarios, state0, config):
     """Drive the continuation path; returns the full step-by-step record.
 
     On the linear objective rows (min risk and max return, which
     return-to-risk with a second constraint resolves to) a step whose tail
     set and frozen mask equal those of the last solve reuses that solve's
-    rates and direction.  The reuse is exact: at a fixed tail set the Euler
-    contribution per unit weight, (tail weights @ Z) / w_base / (1 - beta),
-    does not depend on w, so neither do f, h, the step constants, the
-    autopilot rates nor y.  A recomputed y differs from the reused one by
+    rates and direction, and each record carries the rates its solve used.
+    The reuse is exact: at a fixed tail set the Euler contribution per unit
+    weight, (tail weights @ Z) / w_base / (1 - beta), does not depend on w,
+    so neither do f, h, the step constants, the autopilot rates nor y.  A recomputed y differs from the reused one by
     rounding alone (on the flagship path by at most 4e-15 of its largest
     entry).  The tail signature fixes the tail weights: it holds the
     strict-tail rows, the atom rows and the atom fraction.  Within a run
@@ -232,8 +211,7 @@ def run(scenarios, state0, config):
             try:
                 coeffs = select_coefficients(config.objective, state, rep, config.mode)
                 consts = constants(coeffs)
-                params = _resolve_kappas(config.kappa_policy, consts, config.mode, maximize)
-                sol = solve_step(consts, coeffs, config.mode, params, maximize)
+                sol = solve_step(consts, coeffs, config.mode, config.kappa_policy, maximize)
             except InfeasibleStepError:
                 reason = "infeasible-step"
                 break
@@ -256,7 +234,7 @@ def run(scenarios, state0, config):
         if config.fixed_total_risk and not all_clamped:
             state, factor = rescale_fixed_risk(state, cvar_before, rep.cvar)
             rep = report(table, state, config.beta)
-        records.append(_make_record(m, m * config.delta_c, params, sol.q, sol.Q,
+        records.append(_make_record(m, m * config.delta_c, sol, sol.q, sol.Q,
                                     state, rep, clamped, frozen, factor, base))
         if all_clamped:
             reason = "all-clamped"
@@ -292,32 +270,20 @@ def convergence_study(scenarios, state0, base_config, delta_c_list, total_cost):
         raise ConfigError("need at least 3 step sizes")
     if any(a <= b for a, b in zip(delta_c_list, delta_c_list[1:])):
         raise ConfigError("step sizes must be distinct and in descending order")
-    results = []
+    runs = []
     for dc in delta_c_list:
         cfg = replace(base_config, delta_c=dc, total_cost=total_cost, max_steps=None)
         try:
             res = run(scenarios, state0, cfg)
-            results.append((dc, res.terminal_record.cvar_rel, res.reason, False))
+            runs.append((dc, res.terminal_record.cvar_rel, res.reason))
         except PortfolioError as exc:  # partial table with the failure marked
-            results.append((dc, np.nan, f"error: {exc}", True))
-    reference = results[-1][1]
+            runs.append((dc, np.nan, f"error: {exc}"))
+    reference = runs[-1][1]
     rows = []
-    errors = []
-    for i, (dc, rel, why, failed) in enumerate(results):
-        if failed or not np.isfinite(rel):
-            rows.append(ConvergenceRow(dc, rel, np.nan, True, why))
-            continue
-        if i == len(results) - 1:
-            rows.append(ConvergenceRow(dc, rel, np.nan, False, why))
-            continue
-        err = abs(rel - reference)
-        rows.append(ConvergenceRow(dc, rel, err, False, why))
-        if err > 0.0:
-            errors.append((dc, err))
-    if len(errors) >= 2:
-        log_dc = np.log([e[0] for e in errors])
-        log_err = np.log([e[1] for e in errors])
-        slope = float(np.polyfit(log_dc, log_err, 1)[0])
-    else:
-        slope = np.nan
+    for dc, rel, why in runs:
+        failed = not np.isfinite(rel)
+        error = np.nan if failed or dc == delta_c_list[-1] else abs(rel - reference)
+        rows.append(ConvergenceRow(dc, rel, error, failed, why))
+    errors = [(row.delta_c, row.error) for row in rows if row.error > 0.0]
+    slope = float(np.polyfit(*np.log(errors).T, 1)[0]) if len(errors) >= 2 else np.nan
     return ConvergenceTable(rows=rows, slope=slope)

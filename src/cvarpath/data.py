@@ -5,7 +5,9 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import os
 import re
+import stat
 import sys
 import warnings
 from dataclasses import dataclass
@@ -155,18 +157,45 @@ def read_scenario_file(path):
     grammar is a strict subset of ``float()``'s, and each value it returns is
     ``float()``'s bit for bit.  A file it cannot take, or whose table the
     matrix rejects, is read again by `_read_exactly`, which names the line at
-    fault.
+    fault.  For a regular file numpy gets an upper bound on the rows
+    (`_row_bound`), so it allocates the table once; a table that fills the
+    bound is read again by `_read_exactly` too.
     """
     with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         _, header_no, group_ids, has_prob, initial = _scenario_head(handle)
+        rows = _row_bound(path, handle, has_prob + len(group_ids))
         try:
-            with warnings.catch_warnings():  # an empty remainder is the loop's error to report
+            with warnings.catch_warnings():  # an empty remainder is the loop's error to report,
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                table = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
-            return _scenario_matrix(table, header_no, group_ids, has_prob, initial)
+                # and a blank line is not a row, as it was without max_rows
+                warnings.filterwarnings("ignore", "Input line", UserWarning)
+                table = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2, max_rows=rows)
+            if rows is None or len(table) < rows:  # one that fills the bound may have rows left
+                return _scenario_matrix(table, header_no, group_ids, has_prob, initial)
         except (ValueError, DataError):
             pass
     return _read_exactly(path)
+
+
+def _row_bound(path, handle, width):
+    """An upper bound on the scenario rows of a regular file, so that numpy's
+    reader allocates its table once rather than growing it; None for a pipe
+    or other stream, which cannot be read twice.
+
+    Each row but the last ends in \\n, \\r or \\r\\n (counted twice), and a row of
+    ``width`` cells the reader takes holds at least 2 width - 1 bytes, which
+    bounds a file of blank lines.
+    """
+    size = os.fstat(handle.fileno())
+    if not stat.S_ISREG(size.st_mode):
+        return None
+    ends = 1
+    buffer = bytearray(1 << 18)
+    chunk = np.frombuffer(buffer, dtype=np.uint8)
+    with open(path, "rb", buffering=0) as raw:
+        while got := raw.readinto(buffer):
+            ends += np.count_nonzero(chunk[:got] == 10) + np.count_nonzero(chunk[:got] == 13)
+    return min(ends, size.st_size // (2 * width - 1) + 1)
 
 
 def _read_exactly(path):

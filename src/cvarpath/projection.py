@@ -7,6 +7,11 @@ normalization sum(c^2 y^2) = 1.  Every constraint variant is one problem:
 project f off the active constraint rows {1, h} in the c^-2 metric.  A single
 Gram solve of at most 2x2 gives the projection, the Lagrange multiplier q
 (a root of a2 q^2 + a0 = 0) and the steepest-path rates.
+
+``solve_step`` takes the rates policy, fixed (``PathParams``) or an
+``ExtremumAutopilot``, and derives the rates from the step's own projection:
+each row set is projected once.  ``extremum_kappas`` and ``direction_parts``
+are views of the same private helpers.
 """
 from __future__ import annotations
 
@@ -123,12 +128,12 @@ def select_coefficients(objective, state, report, mode):
             raise DomainError("return-to-risk coefficients need a strictly positive CVaR")
         f = (r - report.total_return * dar_values / report.cvar) * x0 / report.cvar
         h = None
-    else:  # MIN_DIVERSIFICATION
+    else:  # MIN_DIVERSIFICATION: dS/dw_n = standalone_n / w_n, and no active w_n is 0
         standalone = report.standalone_cvar[active]
         s = float(standalone.sum())
         if s <= 0.0:
             raise DomainError("diversification coefficients need positive standalone CVaRs")
-        f = dar_values / s - standalone * report.cvar / (s * s)
+        f = dar_values / s - standalone / state.weights[active] * report.cvar / (s * s)
         h = r.copy()
     return Coefficients(f=f, h=h, c=c)
 
@@ -190,7 +195,19 @@ class PathParams:
 
 
 @dataclass(frozen=True)
+class ExtremumAutopilot:
+    """Re-derive the steepest-path rates from fresh constants at every step; a
+    fixed flag pins that rate to zero instead of optimizing over it."""
+
+    fixed_revenue: bool = False
+    fixed_second: bool = False
+
+
+@dataclass(frozen=True)
 class StepSolution:
+    """One step: direction y, multipliers q, s, t, margins a0, a2, objective rate
+    Q, its rates and the paper's extremum subcase (None for fixed rates)."""
+
     y: np.ndarray
     q: float
     s: float
@@ -198,6 +215,9 @@ class StepSolution:
     a0: float
     a2: float
     Q: float
+    kappa1: float
+    kappa2: float
+    subcase: str
 
 
 def _restrict(pair, rows):
@@ -233,9 +253,11 @@ def _project(consts, rows):
     M = [[U, V], [V, W]] and b = [G, H] pair the rows (1, h) with each other
     and with f.  A row outside ``rows`` is swapped for the identity's, and its
     entry of b for 0, so the solve keeps its 2x2 shape and that row's weight
-    is exactly 0.
+    is exactly 0.  Constants without an h row have no second row to project.
     """
     revenue, second = 0 in rows, 1 in rows
+    if second and not consts.has_h:
+        raise ConfigError("a second constraint needs an h row")
     u = consts.U if revenue else 1.0
     w = consts.W if second else 1.0
     v = consts.V if revenue and second else 0.0
@@ -267,12 +289,9 @@ class _Branch(NamedTuple):
     R: np.ndarray
 
 
-def direction_parts(consts, coeffs, mode, params):
-    """Branch coefficients of the direction as a function of the multiplier q."""
-    if mode.has_second and (coeffs.h is None or not consts.has_h):
-        raise ConfigError(f"constraint mode {mode.variant.value} needs an h row")
-    proj = _project(consts, mode.rows)
-    kappa = _restrict((params.kappa1, params.kappa2), mode.rows)
+def _branch(proj, coeffs, mode, kappa1, kappa2):
+    """Branch coefficients at rates (kappa1, kappa2), f projected off as ``proj``."""
+    kappa = _restrict((kappa1, kappa2), mode.rows)
     mu = _solve(proj.adjugate, proj.det, kappa)
     P = coeffs.f - proj.lam[0]
     R = np.full_like(coeffs.f, mu[0])
@@ -285,28 +304,9 @@ def direction_parts(consts, coeffs, mode, params):
                    a2=_dot(kappa, mu) - 1.0, linear_q=_dot(proj.lam, kappa), P=P, R=R)
 
 
-def _rate(branch, consts, mode, maximize):
-    """The root q of a2 q^2 + a0 = 0 on the optimization side, and Q at it."""
-    if branch.a2 >= -_DEGENERACY_TOL:
-        raise InfeasibleStepError(
-            f"path rates too large for the unit-cost ellipsoid (a2 = {branch.a2:.3e})")
-    if branch.a0 <= _GRADIENT_TOL * max(consts.F, 0.0) or branch.a0 <= 0.0:
-        if mode.variant is ConstraintVariant.NONE_ACTIVE:
-            raise DegenerateProblemError("zero objective gradient: state is locally optimal")
-        raise DegenerateProblemError(
-            "objective gradient lies in the constraint span (a0 = 0)")
-    q_mag = math.sqrt(-branch.a0 / branch.a2)
-    q = q_mag if maximize else -q_mag
-    return q, branch.a0 / q + branch.linear_q
-
-
-def solve_step(consts, coeffs, mode, params, maximize):
-    """Solve one projection step; pick the quadratic root per the direction."""
-    branch = direction_parts(consts, coeffs, mode, params)
-    q, big_q = _rate(branch, consts, mode, maximize)
-    y = (branch.P / q + branch.R) / (coeffs.c * coeffs.c)
-    s, t = (lam - q * mu for lam, mu in zip(branch.lam, branch.mu))
-    return StepSolution(y=y, q=q, s=s, t=t, a0=branch.a0, a2=branch.a2, Q=big_q)
+def direction_parts(consts, coeffs, mode, params):
+    """Branch coefficients of the direction as a function of the multiplier q."""
+    return _branch(_project(consts, mode.rows), coeffs, mode, params.kappa1, params.kappa2)
 
 
 @dataclass(frozen=True)
@@ -325,22 +325,20 @@ _SUBCASES = {((0, 1), ()): "B.1.1", ((0, 1), (0,)): "B.1.2", ((0, 1), (1,)): "B.
              ((1,), ()): "B.3", ((1,), (1,)): "B.3-fixed", ((), ()): "B.4"}
 
 
-def extremum_kappas(consts, mode, fixed_revenue, fixed_second, maximize):
-    """Rates (kappa1, kappa2) at which the objective rate Q is extremal.
+def _extremum(consts, mode, proj, autopilot, maximize):
+    """The autopilot's rates, given f projected off the active rows (``proj``).
 
-    ``fixed_revenue`` / ``fixed_second`` pin the corresponding rate to zero.
     Projecting f off the fixed rows alone gives q_bar^2 (that projection's
     a0) and, for each free row, kappa_bar = (b - M lam_fixed) / q_bar; q_bar
-    takes the optimization sign when some rate is free.  Raises
-    DegenerateProblemError wherever the step at these rates is degenerate.
-    """
+    takes the optimization sign when some rate is free.  With every active
+    row fixed that projection is ``proj`` itself."""
     rows = mode.rows
-    fixed = tuple(r for r in rows if (fixed_revenue, fixed_second)[r])
+    fixed = tuple(r for r in rows if (autopilot.fixed_revenue, autopilot.fixed_second)[r])
     free = tuple(r for r in rows if r not in fixed)
-    if _project(consts, rows).a0 <= _GRADIENT_TOL * max(consts.F, 0.0):
+    if proj.a0 <= _GRADIENT_TOL * max(consts.F, 0.0):
         raise DegenerateProblemError(
             "extremum branch positivity violated: objective gradient lies in the constraint span")
-    pinned = _project(consts, fixed)
+    pinned = proj if fixed == rows else _project(consts, fixed)
     q_bar = math.sqrt(pinned.a0) if pinned.a0 >= 0.0 else math.nan  # NaN, as np.sqrt gives
     if free and not maximize:
         q_bar = -q_bar
@@ -350,3 +348,38 @@ def extremum_kappas(consts, mode, fixed_revenue, fixed_second, maximize):
     return ExtremumSolution(kappa1_bar=kappa1, kappa2_bar=kappa2, q_bar=q_bar,
                             subcase=_SUBCASES[rows, fixed])
 
+
+def extremum_kappas(consts, mode, fixed_revenue, fixed_second, maximize):
+    """Rates (kappa1, kappa2) at which the objective rate Q is extremal; a
+    fixed flag pins its rate to zero.  Raises DegenerateProblemError wherever
+    the step at these rates is degenerate."""
+    return _extremum(consts, mode, _project(consts, mode.rows),
+                     ExtremumAutopilot(fixed_revenue, fixed_second), maximize)
+
+
+def solve_step(consts, coeffs, mode, rates, maximize):
+    """Solve one projection step at fixed rates (a ``PathParams``) or at an
+    ``ExtremumAutopilot``'s, which come from the step's own projection.
+
+    q is the root of a2 q^2 + a0 = 0 on the optimization side.
+    """
+    proj = _project(consts, mode.rows)
+    if isinstance(rates, ExtremumAutopilot):
+        ext = _extremum(consts, mode, proj, rates, maximize)
+        kappa1, kappa2, subcase = ext.kappa1_bar, ext.kappa2_bar, ext.subcase
+    else:
+        kappa1, kappa2, subcase = rates.kappa1, rates.kappa2, None
+    branch = _branch(proj, coeffs, mode, kappa1, kappa2)
+    a0, a2 = branch.a0, branch.a2
+    if a2 >= -_DEGENERACY_TOL:
+        raise InfeasibleStepError(f"path rates too large for the unit-cost ellipsoid "
+                                  f"(a2 = {a2:.3e})")
+    if a0 <= _GRADIENT_TOL * max(consts.F, 0.0) or a0 <= 0.0:
+        if mode.variant is ConstraintVariant.NONE_ACTIVE:
+            raise DegenerateProblemError("zero objective gradient: state is locally optimal")
+        raise DegenerateProblemError("objective gradient lies in the constraint span (a0 = 0)")
+    q = math.sqrt(-a0 / a2) if maximize else -math.sqrt(-a0 / a2)
+    y = (branch.P / q + branch.R) / (coeffs.c * coeffs.c)
+    s, t = (lam - q * mu for lam, mu in zip(branch.lam, branch.mu))
+    return StepSolution(y=y, q=q, s=s, t=t, a0=a0, a2=a2, Q=a0 / q + branch.linear_q,
+                        kappa1=kappa1, kappa2=kappa2, subcase=subcase)

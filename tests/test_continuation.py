@@ -32,7 +32,7 @@ from cvarpath import (
     rescale_fixed_risk,
     run,
 )
-from cvarpath import risk
+from cvarpath import projection, risk
 from conftest import flagship_returns, flagship_spec, small_portfolio
 from oracle import loss_matrix, report_reference
 
@@ -685,6 +685,47 @@ class TestLazyReport:
         assert 0 < len(calls) < len(res.records) - 1
         assert log.count("dar") == len(calls)
         assert log.count("_pick_standalone") == 1 + clamps
+
+
+class TestOneSolvePath:
+    """``run`` hands the policy to ``solve_step``, which resolves the rates
+    from the step's own projection."""
+
+    def test_matches_the_chained_solve(self, monkeypatch):
+        """The flagship-shaped path again with the chain ``solve_step`` replaced,
+        ``extremum_kappas`` and then ``solve_step`` at those rates: every record
+        field and the reason agree bit for bit.  The path projects twice per
+        solve (B.1.2: the active rows and the fixed revenue row), where the
+        chain projected three times."""
+        matrix, state, cfg = flagship_shaped()
+        project, calls = projection._project, []
+        monkeypatch.setattr(projection, "_project",
+                            lambda *args: calls.append(args[1]) or project(*args))
+        solves = count_solves(monkeypatch)
+        one = run(matrix, state, cfg)
+        assert len(calls) == 2 * len(solves) and len(solves) > 30
+        solve = projection.solve_step
+
+        def chained(consts, coeffs, mode, policy, maximize):
+            ext = projection.extremum_kappas(consts, mode, policy.fixed_revenue,
+                                             policy.fixed_second, maximize)
+            return solve(consts, coeffs, mode, PathParams(ext.kappa1_bar, ext.kappa2_bar),
+                         maximize)
+
+        monkeypatch.setattr(continuation, "solve_step", chained)
+        calls.clear()
+        chain = run(matrix, state, cfg)
+        assert len(calls) == 3 * len(solves)
+        assert one.reason == chain.reason == "budget"
+        assert len(one.records) == len(chain.records) == 301
+        assert sum(len(rec.clamped_ids) for rec in one.records) == 9
+        for got, want in zip(one.records, chain.records):
+            for name in RECORD_FIELDS + ["clamped_ids", "tail_signature"]:
+                a, b = getattr(got, name), getattr(want, name)
+                if isinstance(a, (tuple, int)):
+                    assert a == b, (got.step, name)
+                else:
+                    assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (got.step, name)
 
 
 class TestConvergence:

@@ -1,6 +1,8 @@
 """Scenario files, run configs, the generator, and the path table."""
+import os
 import sys
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -302,9 +304,6 @@ class TestFastReader:
     def test_clean_files_take_the_fast_path(self, tmp_path, monkeypatch):
         """A silent fallback on a file the writer made, or on a clean file
         without probabilities, would fail here."""
-        def no_fallback(path):
-            raise AssertionError(f"{path} fell back to the row loop")
-
         monkeypatch.setattr(data, "_read_exactly", no_fallback)
         written = tmp_path / "written.csv"
         write_scenarios(generate(GeneratorSpec(seed=3, n_groups=6, n_scenarios=50)), written)
@@ -332,6 +331,92 @@ class TestFastReader:
         expected += "".join(f"{float(p):.17g}," + cells(row) + "\n"
                             for p, row in zip(probabilities, values))
         assert path.read_bytes() == expected.encode()
+
+
+def no_fallback(path):
+    raise AssertionError(f"{path} fell back to the row loop")
+
+
+def spy_row_bound(monkeypatch):
+    """Record each bound ``read_scenario_file`` passes to numpy's reader."""
+    bounds, bound = [], data._row_bound
+    monkeypatch.setattr(data, "_row_bound",
+                        lambda *args: bounds.append(bound(*args)) or bounds[-1])
+    return bounds
+
+
+class TestRowBound:
+    """numpy's reader gets ``max_rows`` from a count of a regular file's line
+    ends, so it allocates its table once; the count is never below the rows."""
+
+    @given(scenario_files())
+    @settings(max_examples=100, deadline=None)
+    def test_bound_is_above_the_rows(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "scen.csv"
+            path.write_bytes(text.encode())
+            try:
+                rows = data._read_exactly(path).n_scenarios
+            except DataError:
+                return
+            with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+                _, _, group_ids, has_prob, _ = data._scenario_head(handle)
+                assert data._row_bound(path, handle, has_prob + len(group_ids)) > rows
+
+    @pytest.mark.parametrize("text", [
+        "group,a,b\ninitial,10,10\n9,11\n11,9",
+        "group,a,b\r\ninitial,10,10\r\n9,11\r\n11,9",
+        "group,a,b\rinitial,10,10\r9,11\r11,9",
+        "\n\ngroup,a,b\n\ninitial,10,10\n\n\n9,11\n\n\n11,9\n\n",
+    ], ids=("no-last-newline", "crlf", "cr", "blank-lines"))
+    def test_last_row_and_blank_lines(self, tmp_path, monkeypatch, text):
+        """A last row without a line end is read, with any line end, and blank
+        lines are not rows."""
+        path = tmp_path / "scen.csv"
+        path.write_bytes(text.encode())
+        bounds = spy_row_bound(monkeypatch)
+        monkeypatch.setattr(data, "_read_exactly", no_fallback)
+        assert read_scenario_file(path).values.tolist() == [[9.0, 11.0], [11.0, 9.0]]
+        assert bounds[0] > 2
+
+    def test_blank_lines_do_not_size_the_table(self, tmp_path, monkeypatch):
+        """A wide file of blank lines is bounded by its bytes: a row of 200
+        cells holds at least 399, so 100,000 blank lines do not make numpy
+        allocate 100,000 rows."""
+        path = tmp_path / "scen.csv"
+        row = ",".join(str(10 + i % 7) for i in range(200))
+        groups = ",".join(f"g{i}" for i in range(200))
+        path.write_text(f"group,{groups}\ninitial,{row}\n{row}\n{row[::-1]}\n" + "\n" * 100_000)
+        bounds = spy_row_bound(monkeypatch)
+        monkeypatch.setattr(data, "_read_exactly", no_fallback)
+        assert read_scenario_file(path).n_scenarios == 2
+        assert 2 < bounds[0] <= path.stat().st_size // 399 + 1 < 300
+
+    def test_a_table_that_fills_the_bound_is_read_again(self, tmp_path, monkeypatch):
+        """Rows past the bound would be lost, so a table that fills it is read
+        again by the row loop."""
+        path = tmp_path / "scen.csv"
+        path.write_text("group,a,b\ninitial,10,10\n9,11\n11,9\n10,10\n")
+        monkeypatch.setattr(data, "_row_bound", lambda *args: 2)
+        exact, read_exactly = [], data._read_exactly
+        monkeypatch.setattr(data, "_read_exactly", lambda p: exact.append(p) or read_exactly(p))
+        assert read_scenario_file(path).n_scenarios == 3
+        assert exact == [path]
+
+    def test_pipe_is_read_once(self, tmp_path, monkeypatch):
+        """A pipe gets no bound: counting its line ends would consume it."""
+        fifo = tmp_path / "scen.fifo"
+        os.mkfifo(fifo)
+        text = b"group,a,b\ninitial,10,10\n9,11\n11,9"
+        writer = threading.Thread(target=fifo.write_bytes, args=(text,), daemon=True)
+        writer.start()
+        bounds = spy_row_bound(monkeypatch)
+        monkeypatch.setattr(data, "_read_exactly", no_fallback)
+        try:
+            assert read_scenario_file(fifo).values.tolist() == [[9.0, 11.0], [11.0, 9.0]]
+        finally:
+            writer.join(timeout=10)
+        assert bounds == [None]
 
 
 class TestGenerator:

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cvarpath import (
     Coefficients,
@@ -12,19 +13,25 @@ from cvarpath import (
     ConstraintVariant,
     DegenerateProblemError,
     DomainError,
+    ExtremumAutopilot,
     InfeasibleStepError,
     ObjectiveKind,
     PathParams,
     StepConstants,
+    build_losses,
     constants,
     direction_parts,
     effective_problem,
     extremum_kappas,
+    report,
+    select_coefficients,
     solve_step,
     validate_mode,
 )
-from oracle import best_feasible_direction, hessian_sign_check, kappa_grid_search
-from conftest import random_step_instance
+from cvarpath import projection
+from oracle import (best_feasible_direction, finite_difference_dar, hessian_sign_check,
+                    kappa_grid_search)
+from conftest import random_step_instance, small_portfolio
 
 BOTH = ConstraintMode(ConstraintVariant.BOTH)
 REV = ConstraintMode(ConstraintVariant.REVENUE_ONLY)
@@ -367,3 +374,148 @@ class TestExtrema:
         ext = extremum_kappas(consts, mode, False, False, maximize=True)
         assert ext.subcase == "B.4"
         assert ext.q_bar == pytest.approx(np.sqrt(consts.F), rel=1e-14)
+
+
+def same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def spanned(coeffs, mode):
+    """The instance with f moved into the span of the active rows, where the
+    step and the extremum branch are degenerate."""
+    f = np.full_like(coeffs.f, 0.3 * mode.has_revenue)
+    if mode.has_second:
+        f += 0.7 * coeffs.h
+    moved = Coefficients(f=f, h=coeffs.h, c=coeffs.c)
+    return moved, constants(moved)
+
+
+FLAG_PAIRS = ((False, False), (True, False), (False, True), (True, True))
+
+
+class TestOneSolve:
+    """``solve_step`` under an ``ExtremumAutopilot`` resolves the rates from
+    its own projection: the chain it replaced, ``extremum_kappas`` and then
+    ``solve_step`` at those rates, is its oracle bit for bit."""
+
+    @staticmethod
+    def outcome(call):
+        try:
+            return call(), None
+        except Exception as exc:  # noqa: BLE001 - the error types are compared
+            return None, type(exc)
+
+    @pytest.mark.parametrize("maximize", (True, False))
+    @pytest.mark.parametrize("flags", FLAG_PAIRS)
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_matches_the_chain(self, variant, flags, maximize):
+        rng = np.random.default_rng([ALL_VARIANTS.index(variant), FLAG_PAIRS.index(flags),
+                                     maximize])
+        raised = 0
+        for i in range(60):
+            coeffs, consts, mode, _ = random_step_instance(rng, variant)
+            if i % 6 == 0:
+                coeffs, consts = spanned(coeffs, mode)
+            one, one_error = self.outcome(
+                lambda: solve_step(consts, coeffs, mode, ExtremumAutopilot(*flags), maximize))
+            ext, ext_error = self.outcome(
+                lambda: extremum_kappas(consts, mode, *flags, maximize))
+            chain, chain_error = None, ext_error
+            if ext_error is None:
+                chain, chain_error = self.outcome(lambda: solve_step(
+                    consts, coeffs, mode, PathParams(ext.kappa1_bar, ext.kappa2_bar), maximize))
+            assert one_error == chain_error
+            if one_error:
+                raised += 1
+                continue
+            for name in ("y", "q", "Q", "s", "t", "a0", "a2", "kappa1", "kappa2"):
+                assert same_bits(getattr(one, name), getattr(chain, name)), name
+            assert (one.kappa1, one.kappa2) == (ext.kappa1_bar, ext.kappa2_bar)
+            assert one.subcase == ext.subcase and chain.subcase is None
+        assert 0 < raised < 60
+
+    @pytest.mark.parametrize("flags", FLAG_PAIRS)
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_projects_each_row_set_once(self, variant, flags, monkeypatch):
+        """One ``_project`` call per distinct row set: the active rows, and the
+        fixed ones when they differ (B.1.2 makes 2 calls, not 3)."""
+        calls = []
+        project = projection._project
+        monkeypatch.setattr(projection, "_project",
+                            lambda consts, rows: calls.append(rows) or project(consts, rows))
+        rng = np.random.default_rng(59)
+        coeffs, consts, mode, params = random_step_instance(rng, variant)
+        fixed = tuple(r for r in mode.rows if flags[r])
+        calls.clear()
+        sol = solve_step(consts, coeffs, mode, ExtremumAutopilot(*flags), maximize=False)
+        assert calls == [mode.rows] + [fixed] * (fixed != mode.rows)
+        if (variant, flags) == (ConstraintVariant.BOTH, (True, False)):
+            assert sol.subcase == "B.1.2" and len(calls) == 2
+        calls.clear()
+        solve_step(consts, coeffs, mode, params, maximize=False)
+        assert calls == [mode.rows]
+
+
+# The objective each coefficient row is the gradient of, as the report gives it.
+OBJECTIVES = {
+    ObjectiveKind.MIN_RISK: lambda rep, x0: rep.cvar / x0,
+    ObjectiveKind.MAX_RETURN: lambda rep, x0: rep.total_return,
+    ObjectiveKind.MAX_RETURN_TO_RISK: lambda rep, x0: rep.total_return_to_risk,
+    ObjectiveKind.MIN_DIVERSIFICATION: lambda rep, x0: rep.diversification_index,
+}
+
+
+@st.composite
+def perturbed_states(draw):
+    """A small portfolio away from its base weights: each weight moved by
+    10-50% up or down, so no sign changes; sometimes one group frozen."""
+    n = draw(st.integers(3, 7))
+    matrix, state = small_portfolio(seed=draw(st.integers(0, 2**32 - 1)), n=n, k=300)
+    moves = draw(st.lists(st.floats(0.1, 0.5), min_size=n, max_size=n))
+    signs = draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=n, max_size=n))
+    weights = state.weights * (1.0 + np.array(moves) * np.array(signs))
+    frozen = np.zeros(n, dtype=bool)
+    if draw(st.booleans()):
+        frozen[draw(st.integers(0, n - 1))] = True
+        weights[frozen] = 0.0
+    return matrix, state.with_weights(weights, frozen)
+
+
+class TestCoefficientGradients:
+    """Each objective row's f is the gradient of its objective over the active
+    weights, checked against a central difference of the reported objective.
+
+    The step is eps = 1e-6 w_n.  On a fixed tail set (kinks are skipped, by
+    ``finite_difference_dar``'s flag) CVaR, the standalone sum, the return
+    and the revenue are linear in w_n, so the difference is exact for the
+    linear rows; for the ratio rows a / b it is off by the factor
+    1 / (1 - (eps b' / b)^2), about 1e-12 here.  Rounding of the reported
+    objective (a few ulps, relative 1e-14) divided by eps adds about
+    1e-14 |objective| / eps = 1e-8 |objective| / w_n, which is of the order
+    of 1e-8 of the gradient.  So the tolerance is 1e-6 of the largest |f|.
+    """
+
+    BETA = 0.9
+
+    @pytest.mark.parametrize("objective", list(OBJECTIVES))
+    @given(drawn=perturbed_states())
+    @settings(max_examples=40, deadline=None)
+    def test_f_is_the_gradient(self, objective, drawn):
+        matrix, state = drawn
+        table = build_losses(matrix)
+        rep = report(table, state, self.BETA)
+        coeffs = select_coefficients(objective, state, rep, REV)
+        value = OBJECTIVES[objective]
+        scale = float(np.max(np.abs(coeffs.f)))
+        for f_n, n in zip(coeffs.f, np.flatnonzero(state.active)):
+            eps = 1e-6 * state.weights[n]
+            if finite_difference_dar(table, state, self.BETA, n, eps).kink:
+                continue
+            shifted = []
+            for shift in (eps, -eps):
+                weights = state.weights.copy()
+                weights[n] += shift
+                moved = state.with_weights(weights)
+                shifted.append(value(report(table, moved, self.BETA), state.base_value))
+            slope = (shifted[0] - shifted[1]) / (2.0 * eps)
+            assert abs(f_n - slope) <= 1e-6 * scale, (n, f_n, slope)
