@@ -12,19 +12,19 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, replace
+from numbers import Real
 
 import numpy as np
 
 from .errors import (ConfigError, DegenerateProblemError, DomainError, InfeasibleStepError,
                      PortfolioError)
 from .projection import extremum_kappas  # noqa: F401  wrapped by perfbench/tracing.TARGETS
-from .projection import (ConstraintMode, ExtremumAutopilot, ObjectiveKind, PathParams,
+from .projection import (ConstraintMode, ExtremumAutopilot, FixedKappas, ObjectiveKind,
                          constants, effective_problem, select_coefficients, solve_step,
                          validate_mode)
 from .risk import build_losses, report
 
 
-FixedKappas = PathParams  # the policy of constant path rates at every step
 _AT_REST = FixedKappas()  # the default policy, and the rates of the step-0 record
 # A record holds N floats and its other fields, plus 8 B per tail row when its
 # tail set is new (records share the signature while the set stands): about
@@ -55,8 +55,13 @@ class ContinuationConfig:
             raise ConfigError("kappa_policy must be a FixedKappas or an ExtremumAutopilot, "
                               f"got {self.kappa_policy!r}")
         for name, value in numbers:
+            if not isinstance(value, Real):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
             if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
+        for name in ("clamp_nonnegative", "fixed_total_risk"):
+            if not isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ConfigError(f"{name} must be a bool, got {getattr(self, name)!r}")
         if self.delta_c <= 0.0:
             raise ConfigError("delta_c must be positive")
         if not math.isfinite(self.total_cost / self.delta_c):

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .continuation import ContinuationConfig, ExtremumAutopilot, FixedKappas
+from .continuation import ContinuationConfig
 from .errors import ConfigError, DataError
-from .projection import ConstraintMode, ConstraintVariant, ObjectiveKind
+from .projection import (ConstraintMode, ConstraintVariant, ExtremumAutopilot, FixedKappas,
+                         ObjectiveKind)
 from .risk import ScenarioMatrix
 
 _NORMALIZE_BAND = (0.999, 1.001)

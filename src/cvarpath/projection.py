@@ -8,15 +8,16 @@ project f off the active constraint rows {1, h} in the c^-2 metric.  A single
 Gram solve of at most 2x2 gives the projection, the Lagrange multiplier q
 (a root of a2 q^2 + a0 = 0) and the steepest-path rates.
 
-``solve_step`` takes the rates policy, fixed (``PathParams``) or an
-``ExtremumAutopilot``, and derives the rates from the step's own projection:
-each row set is projected once.  ``extremum_kappas`` and ``direction_parts``
-are views of the same private helpers.
+``solve_step`` takes the rates policy, ``FixedKappas`` or an
+``ExtremumAutopilot``, derives the rates from the step's own projection (each
+row set is projected once) and returns the step with its branch (P, R, a0,
+a2).  ``extremum_kappas`` is a view of the same private helper.
 """
 from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -26,6 +27,13 @@ from .errors import ConfigError, DegenerateProblemError, DomainError, Infeasible
 
 _DEGENERACY_TOL = 1e-14
 _GRADIENT_TOL = 1e-13
+
+
+def _require(kind, what, **values):
+    """Reject a library value of the wrong type with a ConfigError that names it."""
+    for name, value in values.items():
+        if not isinstance(value, kind):
+            raise ConfigError(f"{name} must be {what}, got {value!r}")
 
 
 class ObjectiveKind(enum.Enum):
@@ -55,6 +63,7 @@ class ConstraintMode:
     rows: tuple = field(init=False, repr=False, compare=False)  # active: 0 revenue, 1 second
 
     def __post_init__(self):
+        _require(ConstraintVariant, "a ConstraintVariant", variant=self.variant)
         if self.second_meaning not in ("return", "risk"):
             raise ConfigError(f"unknown second-constraint meaning {self.second_meaning!r}")
         object.__setattr__(self, "rows", (0,) * self.has_revenue + (1,) * self.has_second)
@@ -70,6 +79,8 @@ class ConstraintMode:
 
 def validate_mode(objective, mode):
     """Reject objective/constraint pairings the coefficient table does not define."""
+    _require(ObjectiveKind, "an ObjectiveKind", objective=objective)
+    _require(ConstraintMode, "a ConstraintMode", mode=mode)
     if not mode.has_second:
         return
     if objective is ObjectiveKind.MAX_RETURN and mode.second_meaning == "return":
@@ -187,11 +198,14 @@ def constants(coeffs):
 
 
 @dataclass(frozen=True)
-class PathParams:
-    """Per-unit-cost rates of the two constraints; as ``FixedKappas``, those of every step."""
+class FixedKappas:
+    """Per-unit-cost rates of the two constraints, the same at every step."""
 
     kappa1: float = 0.0
     kappa2: float = 0.0
+
+    def __post_init__(self):
+        _require(numbers.Real, "a real number", kappa1=self.kappa1, kappa2=self.kappa2)
 
 
 @dataclass(frozen=True)
@@ -202,11 +216,17 @@ class ExtremumAutopilot:
     fixed_revenue: bool = False
     fixed_second: bool = False
 
+    def __post_init__(self):
+        _require((bool, np.bool_), "a bool", fixed_revenue=self.fixed_revenue,
+                 fixed_second=self.fixed_second)
+
 
 @dataclass(frozen=True)
 class StepSolution:
-    """One step: direction y, multipliers q, s, t, margins a0, a2, objective rate
-    Q, its rates and the paper's extremum subcase (None for fixed rates)."""
+    """One step: direction y = (P/q + R)/c^2, multipliers q, s, t, objective
+    rate Q, its rates, the paper's extremum subcase (None for fixed rates) and
+    the branch a2 q^2 + a0 = 0 over the active rows: P = f - lam.rows and
+    R = mu.rows, lam = M^-1 b, mu = M^-1 kappa, a0 = |P|^2 and a2 = kappa.mu - 1."""
 
     y: np.ndarray
     q: float
@@ -218,6 +238,8 @@ class StepSolution:
     kappa1: float
     kappa2: float
     subcase: str
+    P: np.ndarray
+    R: np.ndarray
 
 
 def _restrict(pair, rows):
@@ -272,43 +294,6 @@ def _project(consts, rows):
     return _Projection(adjugate=adjugate, det=det, lam=lam, a0=consts.F - _dot(b, lam))
 
 
-class _Branch(NamedTuple):
-    """The step's multiplier problem a2 q^2 + a0 = 0 over the active rows.
-
-    lam = M^-1 b and mu = M^-1 kappa weight the rows: y = (P/q + R)/c^2 with
-    P = f - lam.rows and R = mu.rows, a0 is the squared norm of P, the
-    constraint multipliers are lam - q mu, and Q = a0/q + linear_q.
-    """
-
-    lam: tuple
-    mu: tuple
-    a0: float
-    a2: float
-    linear_q: float
-    P: np.ndarray
-    R: np.ndarray
-
-
-def _branch(proj, coeffs, mode, kappa1, kappa2):
-    """Branch coefficients at rates (kappa1, kappa2), f projected off as ``proj``."""
-    kappa = _restrict((kappa1, kappa2), mode.rows)
-    mu = _solve(proj.adjugate, proj.det, kappa)
-    P = coeffs.f - proj.lam[0]
-    R = np.full_like(coeffs.f, mu[0])
-    if mode.has_second:
-        P -= proj.lam[1] * coeffs.h
-        R += mu[1] * coeffs.h
-    # a0 is the squared norm of P.  Summed from P itself it keeps the unit cost
-    # exact where F - b.lam would cancel to a few digits (a0 << F).
-    return _Branch(lam=proj.lam, mu=mu, a0=float((P * P / (coeffs.c * coeffs.c)).sum()),
-                   a2=_dot(kappa, mu) - 1.0, linear_q=_dot(proj.lam, kappa), P=P, R=R)
-
-
-def direction_parts(consts, coeffs, mode, params):
-    """Branch coefficients of the direction as a function of the multiplier q."""
-    return _branch(_project(consts, mode.rows), coeffs, mode, params.kappa1, params.kappa2)
-
-
 @dataclass(frozen=True)
 class ExtremumSolution:
     """Steepest-path rates and multiplier for one extremum subcase."""
@@ -358,10 +343,11 @@ def extremum_kappas(consts, mode, fixed_revenue, fixed_second, maximize):
 
 
 def solve_step(consts, coeffs, mode, rates, maximize):
-    """Solve one projection step at fixed rates (a ``PathParams``) or at an
+    """Solve one projection step at fixed rates (a ``FixedKappas``) or at an
     ``ExtremumAutopilot``'s, which come from the step's own projection.
 
-    q is the root of a2 q^2 + a0 = 0 on the optimization side.
+    q is the root of a2 q^2 + a0 = 0 on the optimization side; the constraint
+    multipliers are lam - q mu, and Q = a0/q + lam.kappa.
     """
     proj = _project(consts, mode.rows)
     if isinstance(rates, ExtremumAutopilot):
@@ -369,8 +355,17 @@ def solve_step(consts, coeffs, mode, rates, maximize):
         kappa1, kappa2, subcase = ext.kappa1_bar, ext.kappa2_bar, ext.subcase
     else:
         kappa1, kappa2, subcase = rates.kappa1, rates.kappa2, None
-    branch = _branch(proj, coeffs, mode, kappa1, kappa2)
-    a0, a2 = branch.a0, branch.a2
+    kappa = _restrict((kappa1, kappa2), mode.rows)
+    mu = _solve(proj.adjugate, proj.det, kappa)
+    P = coeffs.f - proj.lam[0]
+    R = np.full_like(coeffs.f, mu[0])
+    if mode.has_second:
+        P -= proj.lam[1] * coeffs.h
+        R += mu[1] * coeffs.h
+    # a0 is the squared norm of P.  Summed from P itself it keeps the unit cost
+    # exact where F - b.lam would cancel to a few digits (a0 << F).
+    a0 = float((P * P / (coeffs.c * coeffs.c)).sum())
+    a2 = _dot(kappa, mu) - 1.0
     if a2 >= -_DEGENERACY_TOL:
         raise InfeasibleStepError(f"path rates too large for the unit-cost ellipsoid "
                                   f"(a2 = {a2:.3e})")
@@ -379,7 +374,7 @@ def solve_step(consts, coeffs, mode, rates, maximize):
             raise DegenerateProblemError("zero objective gradient: state is locally optimal")
         raise DegenerateProblemError("objective gradient lies in the constraint span (a0 = 0)")
     q = math.sqrt(-a0 / a2) if maximize else -math.sqrt(-a0 / a2)
-    y = (branch.P / q + branch.R) / (coeffs.c * coeffs.c)
-    s, t = (lam - q * mu for lam, mu in zip(branch.lam, branch.mu))
-    return StepSolution(y=y, q=q, s=s, t=t, a0=a0, a2=a2, Q=a0 / q + branch.linear_q,
-                        kappa1=kappa1, kappa2=kappa2, subcase=subcase)
+    y = (P / q + R) / (coeffs.c * coeffs.c)
+    s, t = (lam - q * m for lam, m in zip(proj.lam, mu))
+    return StepSolution(y=y, q=q, s=s, t=t, a0=a0, a2=a2, Q=a0 / q + _dot(proj.lam, kappa),
+                        kappa1=kappa1, kappa2=kappa2, subcase=subcase, P=P, R=R)

@@ -6,12 +6,14 @@ from cvarpath import (
     ConstraintMode,
     ConstraintVariant,
     Coefficients,
+    FixedKappas,
     GeneratorSpec,
-    PathParams,
+    InfeasibleStepError,
     ScenarioMatrix,
     constants,
     generate,
     initial_state,
+    solve_step,
 )
 
 
@@ -49,15 +51,21 @@ def random_step_instance(rng, variant, n=None):
     mode = ConstraintMode(variant)
     coeffs = Coefficients(f=f, h=h if mode.has_second else None, c=c)
     consts = constants(coeffs)
-    # shrink the rates until the constraint planes cut the unit ellipsoid
-    from cvarpath import direction_parts
-
     k1 = float(rng.uniform(-0.3, 0.3)) * np.sqrt(consts.U) if mode.has_revenue else 0.0
     k2 = float(rng.uniform(-0.3, 0.3)) * np.sqrt(max(consts.W, consts.U)) if mode.has_second else 0.0
-    while direction_parts(consts, coeffs, mode, PathParams(k1, k2)).a2 > -0.05:
+
+    def a2(k1, k2):
+        """The step's a2; rates outside the unit ellipsoid (a2 >= 0) count as 0."""
+        try:
+            return solve_step(consts, coeffs, mode, FixedKappas(k1, k2), maximize=True).a2
+        except InfeasibleStepError:
+            return 0.0
+
+    # shrink the rates until the constraint planes cut the unit ellipsoid
+    while a2(k1, k2) > -0.05:
         k1 *= 0.5
         k2 *= 0.5
-    return coeffs, consts, mode, PathParams(kappa1=k1, kappa2=k2)
+    return coeffs, consts, mode, FixedKappas(kappa1=k1, kappa2=k2)
 
 
 FLAGSHIP_BLOCKS = ((10, 0.8), (10, 0.5), (10, 0.2), (10, 0.6), (10, 0.0))

@@ -6,7 +6,8 @@ Euler contributions and standalone CVaRs form the loss matrix Z = x0 - V
 and scale it, with one CVaR per column, the direction search samples the
 feasible sphere, the rate search evaluates the objective rate on a grid,
 and DaR is a central difference.  The Hessian sign check verifies the free-rate extremum
-to second order; no step needs it.  The tail-average CVaR stays in
+to second order; no step needs it.  ``min_cvar_lp`` solves for the optimum the
+min-risk path searches towards as one linear program.  The tail-average CVaR stays in
 ``cvarpath.oracle``.  ``report_reference`` and ``generate_reference`` are
 bit-for-bit references instead: the eager form of an engine call that now
 does less work for the same bits.
@@ -85,6 +86,40 @@ def standalone_cvar(table, state, n, beta):
     """CVaR of the n-th group's scaled loss column on its own (one sort per call)."""
     column = loss_matrix(table)[:, n] * (state.weights[n] / state.base_weights[n])
     return cvar(column, table.probabilities, beta)
+
+
+@dataclass(frozen=True)
+class CvarOptimum:
+    cvar: float
+    weights: np.ndarray
+
+
+def min_cvar_lp(matrix, state, beta):
+    """The least CVaR over long-only weights of unit revenue (sum w = 1, w >= 0).
+
+    The Rockafellar-Uryasev (2000) linear program: minimize
+    alpha + sum_k p_k u_k / (1 - beta) over (w, alpha, u) subject to
+    u_k >= L_k(w) - alpha and u >= 0, with the scenario losses
+    L(w) = Z (w / w_base) of ``portfolio_losses``.  CVaR is degree-one
+    homogeneous, so the optimum is also the least CVaR per unit revenue.
+    Solved by HiGHS; scipy is a test-only dependency.
+    """
+    from scipy import sparse
+    from scipy.optimize import linprog
+
+    k, n = matrix.values.shape
+    losses = (matrix.initial_values - matrix.values) / state.base_weights
+    objective = np.concatenate([np.zeros(n), [1.0], matrix.probabilities / (1.0 - beta)])
+    # L(w) - alpha - u <= 0, one row per scenario
+    rows = sparse.hstack([sparse.csr_matrix(losses), -np.ones((k, 1)), -sparse.eye(k)],
+                         format="csr")
+    revenue = np.concatenate([np.ones(n), np.zeros(1 + k)])[None, :]
+    bounds = [(0.0, None)] * n + [(None, None)] + [(0.0, None)] * k
+    result = linprog(objective, A_ub=rows, b_ub=np.zeros(k), A_eq=revenue, b_eq=[1.0],
+                     bounds=bounds, method="highs")
+    if result.status != 0:
+        raise RuntimeError(f"CVaR LP not solved: {result.message}")
+    return CvarOptimum(cvar=float(result.fun), weights=result.x[:n])
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ from cvarpath import (
     FixedKappas,
     GeneratorSpec,
     ObjectiveKind,
-    PathParams,
     build_losses,
     convergence_study,
     cvar,
@@ -125,8 +124,6 @@ def test_criterion_3_step_feasibility_and_optimality():
 
 
 def test_criterion_4_quadratic_structure():
-    from cvarpath.projection import direction_parts
-
     worst = 0.0
     variants = (ConstraintVariant.BOTH, ConstraintVariant.REVENUE_ONLY,
                 ConstraintVariant.SECOND_ONLY, ConstraintVariant.NONE_ACTIVE)
@@ -134,8 +131,8 @@ def test_criterion_4_quadratic_structure():
         rng = np.random.default_rng(3000 + vi)
         for _ in range(1000):
             coeffs, consts, mode, params = random_step_instance(rng, variant)
-            branch = direction_parts(consts, coeffs, mode, params)
-            worst = max(worst, abs(float(np.sum(branch.P * branch.R / coeffs.c ** 2))))
+            sol = solve_step(consts, coeffs, mode, params, maximize=True)
+            worst = max(worst, abs(float(np.sum(sol.P * sol.R / coeffs.c ** 2))))
     verdict(4, worst < 1e-10,
             f"multiplier polynomial linear coefficient, worst |sum(P*R/c^2)| "
             f"{worst:.2e} (tol 1e-10)")
@@ -176,7 +173,7 @@ def test_criterion_5_extremum_verification():
                              abs(grid.kappa2 - ext.kappa2_bar))
             if subcase == "B.1.1":
                 sol = solve_step(consts, coeffs, mode,
-                                 PathParams(ext.kappa1_bar, ext.kappa2_bar), True)
+                                 FixedKappas(ext.kappa1_bar, ext.kappa2_bar), True)
                 worst_root = max(worst_root,
                                  abs(sol.Q - np.sqrt(consts.F)) / np.sqrt(consts.F))
                 min_det = min(min_det, hessian_sign_check(consts, ext).determinant)

@@ -1,6 +1,7 @@
 """Path driver: stepping, clamping, rescaling, termination, convergence."""
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from cvarpath import (
     FixedKappas,
     generate,
     ObjectiveKind,
-    PathParams,
     PortfolioError,
     PortfolioState,
     ScenarioMatrix,
@@ -34,7 +34,7 @@ from cvarpath import (
 )
 from cvarpath import projection, risk
 from conftest import flagship_returns, flagship_spec, small_portfolio
-from oracle import loss_matrix, report_reference
+from oracle import loss_matrix, min_cvar_lp, report_reference
 
 REV = ConstraintMode(ConstraintVariant.REVENUE_ONLY)
 NONE = ConstraintMode(ConstraintVariant.NONE_ACTIVE)
@@ -365,6 +365,30 @@ class TestTermination:
             ContinuationConfig(objective=ObjectiveKind.MIN_RISK, mode=REV,
                                kappa_policy=FixedKappas(**{name: value}))
 
+    @pytest.mark.parametrize("name,value", [
+        ("variant", "both"), ("objective", "min_risk"), ("mode", "both"), ("beta", "0.95"),
+        ("delta_c", None), ("kappa1", "0.1"), ("kappa2", 1j), ("fixed_revenue", "no"),
+        ("fixed_second", 1), ("clamp_nonnegative", "no"), ("fixed_total_risk", "no")])
+    def test_mistyped_values_rejected(self, name, value):
+        """A value of the wrong type is named, not run with (a string variant
+        once ran with no constraint rows, and a string flag counted as true)."""
+        make = {"variant": ConstraintMode, "kappa1": FixedKappas, "kappa2": FixedKappas,
+                "fixed_revenue": ExtremumAutopilot, "fixed_second": ExtremumAutopilot}.get(
+            name, lambda **kw: ContinuationConfig(
+                **{"objective": ObjectiveKind.MIN_RISK, "mode": REV, **kw}))
+        with pytest.raises(ConfigError, match=rf"^{name} must be an? [\w ]+, "
+                                              rf"got {re.escape(repr(value))}$"):
+            make(**{name: value})
+
+    def test_numpy_scalars_and_integers_accepted(self):
+        cfg = ContinuationConfig(objective=ObjectiveKind.MIN_RISK,
+                                 mode=ConstraintMode(ConstraintVariant.BOTH),
+                                 kappa_policy=ExtremumAutopilot(np.True_, False),
+                                 beta=np.float64(0.9), delta_c=np.float32(0.5), total_cost=1,
+                                 clamp_nonnegative=np.True_)
+        assert cfg.kappa_policy.fixed_revenue and cfg.n_steps == 2
+        assert FixedKappas(np.int64(1), np.float64(-0.5)).kappa2 == -0.5
+
     def test_negative_max_steps_rejected(self):
         with pytest.raises(ConfigError, match="max_steps must be non-negative, got -5"):
             ContinuationConfig(objective=ObjectiveKind.MIN_RISK, mode=REV, max_steps=-5)
@@ -403,9 +427,8 @@ class TestTermination:
                                  total_cost=1.0, max_steps=10)
         assert cfg.n_steps == 10
 
-    def test_fixed_kappas_are_the_path_params(self):
-        """One rates type: a fixed policy is the step's rates, recorded as they are."""
-        assert FixedKappas is PathParams
+    def test_fixed_kappas_are_the_recorded_rates(self):
+        """A fixed policy is the step's rates, recorded as they are."""
         matrix, state = small_portfolio()
         cfg = ContinuationConfig(objective=ObjectiveKind.MIN_RISK, mode=REV,
                                  kappa_policy=FixedKappas(kappa1=-0.5), beta=0.9,
@@ -709,7 +732,7 @@ class TestOneSolvePath:
         def chained(consts, coeffs, mode, policy, maximize):
             ext = projection.extremum_kappas(consts, mode, policy.fixed_revenue,
                                              policy.fixed_second, maximize)
-            return solve(consts, coeffs, mode, PathParams(ext.kappa1_bar, ext.kappa2_bar),
+            return solve(consts, coeffs, mode, FixedKappas(ext.kappa1_bar, ext.kappa2_bar),
                          maximize)
 
         monkeypatch.setattr(continuation, "solve_step", chained)
@@ -726,6 +749,30 @@ class TestOneSolvePath:
                     assert a == b, (got.step, name)
                 else:
                     assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (got.step, name)
+
+
+class TestOptimalityGap:
+    """How close the path gets to the optimum it searches towards."""
+
+    def test_min_risk_path_nears_the_lp_optimum(self, flagship):
+        """Criterion 9's min-risk path, run to c = 1, against the least CVaR
+        per unit revenue over long-only weights: the best point never beats
+        the LP, and its gap shrinks faster than the step (first order)."""
+        matrix, returns = flagship
+        state = initial_state(matrix, returns, 1.0)
+        optimum = min_cvar_lp(matrix, state, 0.95).cvar
+        gaps = []
+        for delta_c, bound in ((1e-2, 5e-3), (3e-3, 1.2e-3)):
+            cfg = ContinuationConfig(objective=ObjectiveKind.MIN_RISK,
+                                     mode=ConstraintMode(ConstraintVariant.BOTH, "return"),
+                                     kappa_policy=ExtremumAutopilot(fixed_revenue=True),
+                                     beta=0.95, delta_c=delta_c, total_cost=1.0,
+                                     steady_state_tol=0.0)
+            best = min(rec.cvar / rec.revenue for rec in run(matrix, state, cfg).records)
+            assert best >= optimum * (1.0 - 1e-9)
+            gaps.append((best - optimum) / optimum)
+            assert gaps[-1] <= bound, (delta_c, gaps)
+        assert gaps[1] < 0.5 * gaps[0], gaps
 
 
 class TestConvergence:

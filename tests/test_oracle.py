@@ -6,14 +6,15 @@ from cvarpath import (
     ConstraintMode,
     ConstraintVariant,
     DomainError,
+    FixedKappas,
     InfeasibleStepError,
-    PathParams,
     build_losses,
+    cvar,
     cvar_tail_average,
     solve_step,
 )
 from oracle import (_feasible_sphere, best_feasible_direction, finite_difference_dar,
-                    kappa_grid_search)
+                    kappa_grid_search, loss_matrix, min_cvar_lp)
 from conftest import random_step_instance, small_portfolio
 
 
@@ -86,7 +87,7 @@ class TestDirectionSampling:
         rng = np.random.default_rng(11)
         coeffs, _, mode, _ = random_step_instance(rng, ConstraintVariant.REVENUE_ONLY, n=4)
         with pytest.raises(InfeasibleStepError):
-            best_feasible_direction(coeffs, mode, PathParams(kappa1=1e6), samples=10)
+            best_feasible_direction(coeffs, mode, FixedKappas(kappa1=1e6), samples=10)
 
 
 class TestGridSearch:
@@ -125,3 +126,23 @@ class TestFiniteDifference:
         flags = [finite_difference_dar(table, state, 0.9, n, 0.2).kink
                  for n in range(state.n_groups)]
         assert any(flags)
+
+
+class TestCvarLP:
+    def test_optimum_is_the_least_cvar(self):
+        """The LP value is the engine's CVaR at the LP weights, which are long
+        only and of unit revenue, and no sampled such portfolio does better."""
+        matrix, state = small_portfolio(seed=5, n=5, k=200)
+        table = build_losses(matrix)
+        opt = min_cvar_lp(matrix, state, 0.9)
+        assert opt.weights.min() >= 0.0
+        assert opt.weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+        def cvar_at(weights):
+            return cvar(loss_matrix(table) @ (weights / state.base_weights),
+                        table.probabilities, 0.9)
+
+        assert cvar_at(opt.weights) == pytest.approx(opt.cvar, rel=1e-9)
+        rng = np.random.default_rng(5)
+        sampled = min(cvar_at(w) for w in rng.dirichlet(np.ones(5), 500))
+        assert sampled >= opt.cvar * (1.0 - 1e-9)

@@ -12,10 +12,10 @@ EXPORTS = [
     "Coefficients", "ConfigError", "ConstraintMode", "ConstraintVariant", "ContinuationConfig",
     "ContinuationResult", "DataError", "DegenerateProblemError", "DomainError",
     "ExtremumAutopilot", "FixedKappas", "GeneratorSpec", "InfeasibleStepError", "LossTable",
-    "ObjectiveKind", "PATH_COLUMNS", "PathParams", "PathRecord", "PortfolioError",
+    "ObjectiveKind", "PATH_COLUMNS", "PathRecord", "PortfolioError",
     "PortfolioState", "RiskReport", "RunConfig", "ScenarioMatrix", "StepConstants", "TailSet",
     "apply_step", "build_losses", "constants", "continuation", "convergence_study", "cvar",
-    "cvar_tail_average", "dar", "data", "direction_parts", "effective_problem", "errors",
+    "cvar_tail_average", "dar", "data", "effective_problem", "errors",
     "extremum_kappas", "generate", "initial_state", "oracle", "parse_run_config",
     "portfolio_losses", "projection", "read_scenario_file", "report", "rescale_fixed_risk",
     "risk", "run", "select_coefficients", "solve_step", "tail_split", "validate_mode", "var",

@@ -14,13 +14,12 @@ from cvarpath import (
     DegenerateProblemError,
     DomainError,
     ExtremumAutopilot,
+    FixedKappas,
     InfeasibleStepError,
     ObjectiveKind,
-    PathParams,
     StepConstants,
     build_losses,
     constants,
-    direction_parts,
     effective_problem,
     extremum_kappas,
     report,
@@ -114,7 +113,7 @@ class TestHandExamples:
                               h=np.array([0.0, 1.0, 0.0]),
                               c=np.ones(3))
         consts = constants(coeffs)
-        sol = solve_step(consts, coeffs, BOTH, PathParams(0.0, 0.0), maximize=True)
+        sol = solve_step(consts, coeffs, BOTH, FixedKappas(0.0, 0.0), maximize=True)
         np.testing.assert_allclose(sol.y, [np.sqrt(0.5), 0.0, -np.sqrt(0.5)], atol=1e-15)
         assert sol.a0 == pytest.approx(0.5)
         assert sol.a2 == pytest.approx(-1.0)
@@ -125,8 +124,8 @@ class TestHandExamples:
                               h=np.array([0.0, 1.0, 0.0]),
                               c=np.ones(3))
         consts = constants(coeffs)
-        up = solve_step(consts, coeffs, BOTH, PathParams(0.0, 0.0), maximize=True)
-        down = solve_step(consts, coeffs, BOTH, PathParams(0.0, 0.0), maximize=False)
+        up = solve_step(consts, coeffs, BOTH, FixedKappas(0.0, 0.0), maximize=True)
+        down = solve_step(consts, coeffs, BOTH, FixedKappas(0.0, 0.0), maximize=False)
         np.testing.assert_allclose(down.y, -up.y, atol=1e-15)
         assert down.Q == pytest.approx(-up.Q)
         assert down.q == pytest.approx(-up.q)
@@ -134,7 +133,7 @@ class TestHandExamples:
     def test_no_constraints_steepest(self):
         coeffs = Coefficients(f=np.array([1.0, 0.0]), h=None, c=np.ones(2))
         consts = constants(coeffs)
-        sol = solve_step(consts, coeffs, NONE, PathParams(), maximize=True)
+        sol = solve_step(consts, coeffs, NONE, FixedKappas(), maximize=True)
         np.testing.assert_allclose(sol.y, [1.0, 0.0], atol=1e-15)
         assert sol.Q == pytest.approx(1.0)
 
@@ -167,8 +166,8 @@ class TestFeasibilityAndOptimality:
         rng = np.random.default_rng(23)
         for _ in range(200):
             coeffs, consts, mode, params = random_step_instance(rng, variant)
-            branch = direction_parts(consts, coeffs, mode, params)
-            cross = float(np.sum(branch.P * branch.R / coeffs.c ** 2))
+            sol = solve_step(consts, coeffs, mode, params, maximize=True)
+            cross = float(np.sum(sol.P * sol.R / coeffs.c ** 2))
             assert abs(cross) < 1e-10
 
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
@@ -189,26 +188,26 @@ class TestErrors:
         consts = constants(coeffs)
         # |kappa1| > sqrt(U) puts the constraint plane outside the ellipsoid
         with pytest.raises(InfeasibleStepError):
-            solve_step(consts, coeffs, REV, PathParams(kappa1=10.0), maximize=True)
+            solve_step(consts, coeffs, REV, FixedKappas(kappa1=10.0), maximize=True)
 
     def test_gradient_in_constraint_span_raises(self):
         coeffs = Coefficients(f=np.ones(3), h=None, c=np.ones(3))
         consts = constants(coeffs)
         with pytest.raises(DegenerateProblemError):
-            solve_step(consts, coeffs, REV, PathParams(kappa1=0.0), maximize=True)
+            solve_step(consts, coeffs, REV, FixedKappas(kappa1=0.0), maximize=True)
 
     def test_collinear_constraints_raise(self):
         coeffs = Coefficients(f=np.array([1.0, 0.0, 0.0]),
                               h=np.ones(3), c=np.ones(3))
         consts = constants(coeffs)
         with pytest.raises(DegenerateProblemError):
-            solve_step(consts, coeffs, BOTH, PathParams(0.0, 0.0), maximize=True)
+            solve_step(consts, coeffs, BOTH, FixedKappas(0.0, 0.0), maximize=True)
 
     def test_second_mode_requires_h(self):
         coeffs = Coefficients(f=np.array([1.0, -1.0]), h=None, c=np.ones(2))
         consts = constants(coeffs)
         with pytest.raises(ConfigError):
-            solve_step(consts, coeffs, SEC, PathParams(), maximize=True)
+            solve_step(consts, coeffs, SEC, FixedKappas(), maximize=True)
 
     @pytest.mark.parametrize("sums,pair", [
         (dict(U=1.0, F=1.0, G=2.0, has_h=False), "UF < G^2"),
@@ -290,7 +289,7 @@ class TestExtrema:
             assert ext.q_bar == pytest.approx(np.sqrt(consts.F), rel=1e-14)
             # multipliers vanish at the free extremum
             sol = solve_step(consts, coeffs, mode,
-                             PathParams(ext.kappa1_bar, ext.kappa2_bar), maximize=True)
+                             FixedKappas(ext.kappa1_bar, ext.kappa2_bar), maximize=True)
             assert abs(sol.s) < 1e-9 and abs(sol.t) < 1e-9
             assert sol.Q == pytest.approx(np.sqrt(consts.F), rel=1e-12)
 
@@ -423,12 +422,12 @@ class TestOneSolve:
             chain, chain_error = None, ext_error
             if ext_error is None:
                 chain, chain_error = self.outcome(lambda: solve_step(
-                    consts, coeffs, mode, PathParams(ext.kappa1_bar, ext.kappa2_bar), maximize))
+                    consts, coeffs, mode, FixedKappas(ext.kappa1_bar, ext.kappa2_bar), maximize))
             assert one_error == chain_error
             if one_error:
                 raised += 1
                 continue
-            for name in ("y", "q", "Q", "s", "t", "a0", "a2", "kappa1", "kappa2"):
+            for name in ("y", "q", "Q", "s", "t", "a0", "a2", "kappa1", "kappa2", "P", "R"):
                 assert same_bits(getattr(one, name), getattr(chain, name)), name
             assert (one.kappa1, one.kappa2) == (ext.kappa1_bar, ext.kappa2_bar)
             assert one.subcase == ext.subcase and chain.subcase is None
