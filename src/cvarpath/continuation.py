@@ -3,9 +3,10 @@
 Each step re-evaluates the risk report at the current weights, rebuilds the
 coefficient vectors over the active components, solves the closed-form step
 under the configured rates policy, which ``solve_step`` resolves itself (or,
-on the linear objectives, reuses the last solve while the tail set and frozen
-mask stand), applies the weight update with optional zero clamping and
-fixed-risk rescaling, and records the resulting metrics.
+on the linear objectives, reuses one of the last two solves while its tail
+set and frozen mask stand, and carries the loss vector along), applies the
+weight update with optional zero clamping and fixed-risk rescaling, and
+records the resulting metrics.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from .projection import extremum_kappas  # noqa: F401  wrapped by perfbench/trac
 from .projection import (ConstraintMode, ExtremumAutopilot, FixedKappas, ObjectiveKind,
                          constants, effective_problem, select_coefficients, solve_step,
                          validate_mode)
-from .risk import build_losses, report
+from .risk import build_losses, losses_at, portfolio_losses, report
 
 
 _AT_REST = FixedKappas()  # the default policy, and the rates of the step-0 record
@@ -57,7 +58,11 @@ class ContinuationConfig:
         for name, value in numbers:
             if not isinstance(value, Real):
                 raise ConfigError(f"{name} must be a real number, got {value!r}")
-            if not math.isfinite(value):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:
+                raise ConfigError(f"{name} {value!r} is outside the float range") from None
+            if not finite:
                 raise ConfigError(f"{name} must be finite, got {value!r}")
         for name in ("clamp_nonnegative", "fixed_total_risk"):
             if not isinstance(getattr(self, name), (bool, np.bool_)):
@@ -182,17 +187,30 @@ def run(scenarios, state0, config):
 
     On the linear objective rows (min risk and max return, which
     return-to-risk with a second constraint resolves to) a step whose tail
-    set and frozen mask equal those of the last solve reuses that solve's
-    rates and direction, and each record carries the rates its solve used.
-    The reuse is exact: at a fixed tail set the Euler contribution per unit
-    weight, (tail weights @ Z) / w_base / (1 - beta), does not depend on w,
-    so neither do f, h, the step constants, the autopilot rates nor y.  A recomputed y differs from the reused one by
-    rounding alone (on the flagship path by at most 4e-15 of its largest
-    entry).  The tail signature fixes the tail weights: it holds the
-    strict-tail rows, the atom rows and the atom fraction.  Within a run
-    the frozen mask only grows, so the carried frozen count identifies it.
-    Return-to-risk without a second constraint and diversification have
-    coefficients that move with w, so those steps always solve.
+    set and frozen mask equal those of one of the last two solves reuses
+    that solve's rates and direction, and each record carries the rates its
+    solve used.  Two, because a path that crosses a kink often comes
+    straight back (tail sets A, B, A).  The reuse is exact: at a fixed tail
+    set the Euler contribution per unit weight,
+    (tail weights @ Z) / w_base / (1 - beta), does not depend on w, so
+    neither do f, h, the step constants, the autopilot rates nor y.  A
+    recomputed y differs from the reused one by rounding alone (on the
+    flagship path by at most 4e-15 of its largest entry).  The tail
+    signature fixes the tail weights: it holds the strict-tail rows, the
+    atom rows and the atom fraction.  Within a run the frozen mask only
+    grows, so the carried frozen count identifies it.  Return-to-risk
+    without a second constraint and diversification have coefficients that
+    move with w, so those steps always solve.
+
+    On the linear rows the loss vector L = Z @ (w / w_base) is carried
+    too, since it is linear in w.  A reused step that clamps nothing adds
+    the solve's loss image d = Z @ (delta_c * y / w_base), formed on the
+    solve's first reuse and kept with it; a fixed-risk rescale scales L by
+    its factor.  Any other step forms L anew.  The carried L drifts from
+    the product by rounding that adds up along a reused run of steps, so at
+    most linearly in its length; it is dropped when the next step will
+    not reuse a solve.  Paths that never reuse carry nothing, and their
+    reports form L as a lone ``report`` does.
     """
     table = build_losses(scenarios)
     state = state0
@@ -206,13 +224,16 @@ def run(scenarios, state0, config):
     streak = 0
     row, maximize = effective_problem(config.objective, config.mode)
     reusable = row in (ObjectiveKind.MIN_RISK, ObjectiveKind.MAX_RETURN)
-    solved_key = None
+    solves = {}  # key -> [solution, y, loss image or None] of the last two keys solved
+    losses = None  # the state's loss vector while the next step may reuse a solve
     for m in range(1, config.n_steps + 1):
         if frozen == n:
             reason = "all-clamped"
             break
         key = (rep.tail_signature, frozen) if reusable else None
-        if key is None or key != solved_key:
+        kept = solves.pop(key, None)
+        reused = kept is not None
+        if not reused:
             try:
                 coeffs = select_coefficients(config.objective, state, rep, config.mode)
                 consts = constants(coeffs)
@@ -227,18 +248,33 @@ def run(scenarios, state0, config):
                 break
             y = np.zeros(n)
             y[state.active] = sol.y
-            solved_key = key
+            kept = [sol, y, None]
+        sol, y = kept[0], kept[1]
+        if reusable:
+            solves[key] = kept
+            if len(solves) > 2:
+                del solves[next(iter(solves))]
         cvar_before = rep.cvar
         state, clamped = apply_step(state, y, config.delta_c, config.clamp_nonnegative)
         frozen += len(clamped)
         all_clamped = frozen == n
-        rep = report(table, state, config.beta)
+        if reused and not clamped:
+            if kept[2] is None:
+                kept[2] = losses_at(table, config.delta_c * y / state.base_weights)
+            losses += kept[2]
+        elif reusable:
+            losses = portfolio_losses(table, state)
+        rep = report(table, state, config.beta, losses)
         # the step's own change: under fixed total risk the rescale below pins CVaR
         rel_change = abs(rep.cvar - cvar_before) / max(abs(cvar_before), 1e-300)
         factor = 1.0
         if config.fixed_total_risk and not all_clamped:
             state, factor = rescale_fixed_risk(state, cvar_before, rep.cvar)
-            rep = report(table, state, config.beta)
+            if losses is not None:
+                losses *= factor
+            rep = report(table, state, config.beta, losses)
+        if (rep.tail_signature, frozen) not in solves:
+            losses = None
         records.append(_make_record(m, m * config.delta_c, sol, sol.q, sol.Q,
                                     state, rep, clamped, frozen, factor, base))
         if all_clamped:

@@ -126,10 +126,10 @@ class LossTable:
     built by ``build_losses``, which copies nothing.  ``report`` keeps three
     memos on the table for its whole life: the CVaR of each column in
     ``_column_cvars``, the pick of those CVaRs for the last sign pattern of
-    the weights in ``_standalone_pick``, and the last tail set with its
-    Euler numerator in ``_tail_memo``, which holds arrays over the tail rows
-    only.  All are computed from the arrays as they were, so a caller who
-    edits their matrix builds a new table.
+    the weights in ``_standalone_pick``, and the last two tail sets with
+    their Euler numerators in ``_tail_memo``, which holds arrays over the
+    tail rows only.  All are computed from the arrays as they were, so a
+    caller who edits their matrix builds a new table.
     """
 
     initial_values: np.ndarray
@@ -139,7 +139,7 @@ class LossTable:
     _column_cvars: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # beta -> (np.sign(w / w_base) as bytes, known[sign + 1, n] for each column n)
     _standalone_pick: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # beta -> (TailSet, its Euler numerator) of the last tail set
+    # beta -> [(TailSet, its Euler numerator)] of the last two tail sets, most recent first
     _tail_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -331,11 +331,12 @@ def portfolio_losses(table, state):
     that overflows, or is inf - inf, is left non-finite for the tail split
     to reject as a ``DataError``, without a numpy warning.
     """
-    return _losses(table, state.weights / state.base_weights)
+    return losses_at(table, state.weights / state.base_weights)
 
 
-def _losses(table, scale):
-    """``portfolio_losses`` at the scale s = w / w_base."""
+def losses_at(table, scale):
+    """``portfolio_losses`` at the scale s, any N-vector: Z @ s is linear in
+    s, so the losses of a weight change dw are ``losses_at(table, dw / w_base)``."""
     with np.errstate(over="ignore", invalid="ignore"):
         losses = table.values @ scale
         return np.subtract(table.initial_values @ scale, losses, out=losses)
@@ -613,51 +614,65 @@ def _euler_numerator(table, rows, tail):
 
 
 def _tail(table, total, beta):
-    """VaR of the losses ``total`` and the table's memo for this beta: the
-    last ``TailSet`` and its Euler numerator sum(t) * x0 - t @ V[rows].
+    """VaR of the losses ``total`` and the pair of the table's memo for this
+    beta that holds their tail set: a ``TailSet`` and its Euler numerator
+    sum(t) * x0 - t @ V[rows].
 
-    The memo is reused while its tail set stands: the losses are finite (the
-    one dot product of the tail split), the atom rows are still tied at v (a
-    one-row atom is, v being its loss), every strict-tail row is above v and
-    no other row reaches v.  The rows above and at VaR are then the kept
-    ones, so P(L < v) and P(L <= v) are too: v is VaR, and the split
-    fraction, tail weights and signature are the kept ones.  Otherwise the
-    losses are split anew and the memo replaced.  A kept ``TailSet``'s VaR
-    is that of its split; the VaR returned is the current one.  The memo
-    holds no K-length array and no Python object per row.
+    The memo keeps the last two tail sets, most recently used first, so a
+    path that crosses a kink and comes back (A, B, A) splits A once.  A pair
+    is reused while its tail set stands: the losses are finite (the one dot
+    product of the tail split), the atom rows are still tied at v (a one-row
+    atom is, v being its loss), every strict-tail row is above v and no
+    other row reaches v.  The rows above and at VaR are then the kept ones,
+    so P(L < v) and P(L <= v) are too: v is VaR, and the split fraction,
+    tail weights and signature are the kept ones.  The O(tail) tests run
+    first, and the O(K) count only for a pair that passes them.  Otherwise
+    the losses are split anew and the pair replaces the older one.  A kept
+    ``TailSet``'s VaR is that of its split; the VaR returned is the current
+    one.  The memo holds no K-length array and no Python object per row.
     """
-    memo = table._tail_memo.get(beta)
-    if memo is not None and math.isfinite(np.vdot(table.probabilities, total)):
-        above, at = memo[0].above, memo[0].at
-        v = total[at[0]]
-        if ((at.size == 1 or (total[at] == v).all())
-                and (above.size == 0 or total[above].min() > v)
-                and np.count_nonzero(total >= v) == above.size + at.size):
-            return float(v), memo
+    memo = table._tail_memo.setdefault(beta, [])
+    if memo and math.isfinite(np.vdot(table.probabilities, total)):
+        for i, pair in enumerate(memo):
+            above, at = pair[0].above, pair[0].at
+            v = total[at[0]]
+            if ((at.size == 1 or (total[at] == v).all())
+                    and (above.size == 0 or total[above].min() > v)
+                    and np.count_nonzero(total >= v) == above.size + at.size):
+                memo.insert(0, memo.pop(i))
+                return float(v), pair
     ts = tail_split(total, table.probabilities, beta)
-    memo = table._tail_memo[beta] = (ts, _euler_numerator(table, ts.rows, ts.tail))
-    return ts.var, memo
+    memo.insert(0, (ts, _euler_numerator(table, ts.rows, ts.tail)))
+    del memo[2:]
+    return ts.var, memo[0]
 
 
-def report(table, state, beta):
+def report(table, state, beta, losses=None):
     """Evaluate the risk measures and indices at the given state.
 
     No K x N array is formed: with s = w / w_base the losses L are
     x0 @ s - V @ s, CVaR is t @ L[rows] / (1 - beta) and the Euler
     contributions (tail weights @ Z) * s are
     (sum(t) * x0 - t @ V[rows]) * s / (1 - beta), over the rows of nonzero
-    tail weight t only.  The numerator depends only on the tail rows, so
-    the table keeps the last ones for this beta and a report re-checks them
-    in one O(K) pass before it splits anew (``_tail``).  That memo lives as
+    tail weight t only.  A caller that already holds the state's loss vector
+    passes it as ``losses`` (a path derives it from the last one, since L is
+    linear in w), and then the report forms no K x N product; it is checked
+    as the tail split checks its losses, so a non-finite one is a
+    ``DataError``.  The numerator depends only on the tail rows, so the
+    table keeps the last two for this beta and a report re-checks them in
+    one O(K) pass before it splits anew (``_tail``).  That memo lives as
     long as the table, so an edited matrix needs a new table.  The
-    standalone CVaRs come first, so their column buffer and the loss vector
-    are never held at once.  The scalars and the standalone CVaRs are
-    computed here; the contributions, DaR and the per-group return-to-risk
-    are formed when first read (``RiskReport``).
+    standalone CVaRs come first, so their column buffer and a loss vector
+    formed here are never held at once.  The scalars and the standalone
+    CVaRs are computed here; the contributions, DaR and the per-group
+    return-to-risk are formed when first read (``RiskReport``).
     """
     scale = state.weights / state.base_weights
     standalone = _standalone_cvars(table, scale, beta)
-    total = _losses(table, scale)
+    if losses is None:
+        total = losses_at(table, scale)
+    else:
+        total = _tail_inputs(losses, table.probabilities)[0]
     v, (ts, numerator) = _tail(table, total, beta)
     inv_tail = 1.0 / (1.0 - beta)
     cvar_total = float(ts.tail @ total[ts.rows]) * inv_tail

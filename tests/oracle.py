@@ -369,15 +369,19 @@ def _standalone_reference(table, scale, beta):
     return out
 
 
-def report_reference(table, state, beta):
+def report_reference(table, state, beta, losses=None):
     """``risk.report`` with every field formed at once: the Euler
     contributions, DaR and the per-group return-to-risk on every call, and
     the standalone CVaRs picked anew each time.  It keeps the table's memos
-    as ``report`` does, so the two agree bit for bit along any sequence of
+    as ``report`` does, and takes the state's loss vector when given as
+    ``report`` does, so the two agree bit for bit along any sequence of
     states on tables of one history."""
     scale = state.weights / state.base_weights
     standalone = _standalone_reference(table, scale, beta)
-    total = portfolio_losses(table, state)
+    if losses is None:
+        total = portfolio_losses(table, state)
+    else:
+        total = risk._tail_inputs(losses, table.probabilities)[0]
     v, (ts, numerator) = risk._tail(table, total, beta)
     inv_tail = 1.0 / (1.0 - beta)
     cvar_total = float(ts.tail @ total[ts.rows]) * inv_tail

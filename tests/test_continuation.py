@@ -365,6 +365,16 @@ class TestTermination:
             ContinuationConfig(objective=ObjectiveKind.MIN_RISK, mode=REV,
                                kappa_policy=FixedKappas(**{name: value}))
 
+    @pytest.mark.parametrize("name", ("beta", "delta_c", "total_cost", "steady_state_tol",
+                                      "kappa1", "kappa2"))
+    def test_integers_outside_the_float_range_rejected(self, name):
+        """An integer too large for a float is named, not an ``OverflowError``."""
+        value = -10**400 if name == "kappa2" else 10**400
+        fields = ({"kappa_policy": FixedKappas(**{name: value})} if name.startswith("kappa")
+                  else {name: value})
+        with pytest.raises(ConfigError, match=rf"^{name} -?10+ is outside the float range$"):
+            ContinuationConfig(objective=ObjectiveKind.MIN_RISK, mode=REV, **fields)
+
     @pytest.mark.parametrize("name,value", [
         ("variant", "both"), ("objective", "min_risk"), ("mode", "both"), ("beta", "0.95"),
         ("delta_c", None), ("kappa1", "0.1"), ("kappa2", 1j), ("fixed_revenue", "no"),
@@ -471,6 +481,19 @@ def assert_same_path(name, got, want, rtol):
     assert error <= rtol * scale, f"{name}: off by {error:.3e} at scale {scale:.3e}"
 
 
+def assert_same_records(got, want):
+    """Every field of two runs' records agrees bit for bit."""
+    assert len(got) == len(want)
+    for a_rec, b_rec in zip(got, want):
+        for field in dataclasses.fields(continuation.PathRecord):
+            a, b = getattr(a_rec, field.name), getattr(b_rec, field.name)
+            if isinstance(a, (tuple, int)):
+                assert a == b, (a_rec.step, field.name)
+            else:
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (a_rec.step,
+                                                                             field.name)
+
+
 @st.composite
 def linear_paths(draw):
     """A small table and a min-risk or max-return path of 100-200 steps."""
@@ -508,9 +531,22 @@ def count_solves(monkeypatch):
     return calls
 
 
+def misses(keys):
+    """How many keys are not among the last two distinct keys before them:
+    the solves of a two-entry cache that keeps the keys it last used."""
+    recent, count = [], 0
+    for key in keys:
+        if key in recent:
+            recent.remove(key)
+        else:
+            count += 1
+        recent = [key] + recent[:1]
+    return count
+
+
 class TestStepReuse:
-    """A step reuses the last solve while the tail set and frozen mask stand,
-    on the min-risk and max-return rows only."""
+    """A step reuses one of the last two solves while its tail set and frozen
+    mask stand, on the min-risk and max-return rows only."""
 
     @given(linear_paths())
     @settings(max_examples=30, deadline=None)
@@ -566,10 +602,10 @@ class TestStepReuse:
 
     def test_a_clamp_solves_anew(self, monkeypatch):
         """Steepest min-risk descent clamps one group after another.  On the
-        path itself a step solves exactly when its tail set or frozen count
-        differs from the last solve's.  With every report's signature pinned
-        to one value, only a clamp changes the key: one solve, then one per
-        clamp until every group is frozen."""
+        path itself a step solves exactly when its tail set and frozen count
+        are not those of one of the last two solves.  With every report's
+        signature pinned to one value, only a clamp changes the key: one
+        solve, then one per clamp until every group is frozen."""
         matrix, state, cfg = clamping_min_risk()
         calls = count_solves(monkeypatch)
         res = run(matrix, state, cfg)
@@ -577,7 +613,7 @@ class TestStepReuse:
         # record m holds the tail set and count that step m + 1 is keyed on;
         # the last record, all groups frozen, keys no step
         keys = [(r.tail_signature, r.frozen_count) for r in res.records[:-1]]
-        assert len(calls) == 1 + sum(a != b for a, b in zip(keys, keys[1:]))
+        assert len(calls) == misses(keys)
         pinned = (b"", b"", 0.0)
         fresh_report = continuation.report
         monkeypatch.setattr(continuation, "report", lambda *args: dataclasses.replace(
@@ -588,6 +624,25 @@ class TestStepReuse:
         clamps = sum(bool(r.clamped_ids) for r in res.records[:-1])
         assert clamps >= 2
         assert len(calls) == 1 + clamps
+
+    def test_returns_reuse_the_earlier_set_and_solve(self, monkeypatch):
+        """On a flagship-shaped path, solves and the report's tail splits
+        each number the keys (and tail sets) that are not among the last two
+        before them.  That is fewer than one per change of key: the path
+        comes back to the set it left a step before."""
+        matrix, state, cfg = flagship_shaped()
+        calls = count_solves(monkeypatch)
+        log = []
+        split = risk.tail_split
+        monkeypatch.setattr(risk, "tail_split", lambda *args: log.append(1) or split(*args))
+        res = run(matrix, state, cfg)
+        assert res.reason == "budget"
+        keys = [(r.tail_signature, r.frozen_count) for r in res.records[:-1]]
+        changes = sum(a != b for a, b in zip(keys, keys[1:]))
+        assert len(calls) == misses(keys) < 1 + changes
+        signatures = [r.tail_signature for r in res.records]
+        assert len(log) == misses(signatures) < 1 + sum(
+            a != b for a, b in zip(signatures, signatures[1:]))
 
     @pytest.mark.parametrize("second", ("return", "risk"))
     def test_ratio_with_a_second_constraint_reuses(self, monkeypatch, second):
@@ -669,14 +724,8 @@ class TestLazyReport:
             eager = run(matrix, state, cfg)
         assert lazy.reason == eager.reason
         assert len(lazy.records) == len(eager.records) > 30
-        for got, want in zip(lazy.records, eager.records):
-            for field in dataclasses.fields(continuation.PathRecord):
-                a, b = getattr(got, field.name), getattr(want, field.name)
-                if isinstance(a, (tuple, int)):
-                    assert a == b, (got.step, field.name)
-                else:
-                    assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (got.step,
-                                                                                 field.name)
+        assert_same_records(lazy.records, eager.records)
+        for got in lazy.records:
             assert got.frozen_count == np.count_nonzero(got.weights == 0.0)
         for name in ("weights", "frozen"):
             assert (getattr(lazy.terminal_state, name).tobytes()
@@ -708,6 +757,65 @@ class TestLazyReport:
         assert 0 < len(calls) < len(res.records) - 1
         assert log.count("dar") == len(calls)
         assert log.count("_pick_standalone") == 1 + clamps
+
+
+class TestCarriedLosses:
+    """On the linear rows ``run`` carries the loss vector: a reused step adds
+    the solve's loss image and a fixed-risk rescale scales it.
+    ``portfolio_losses`` of each state is its oracle."""
+
+    @staticmethod
+    def handed(monkeypatch):
+        """Log what ``run`` hands ``report``: the state and a copy of the
+        loss vector, or None."""
+        log = []
+        fresh = continuation.report
+
+        def logged(table, at, beta, losses=None):
+            log.append((at, None if losses is None else losses.copy()))
+            return fresh(table, at, beta, losses)
+
+        monkeypatch.setattr(continuation, "report", logged)
+        return log
+
+    @pytest.mark.parametrize("path", (flagship_shaped, lambda: flagship_shaped(True),
+                                      clamping_min_risk),
+                             ids=("flagship-shaped", "fixed-total-risk", "clamping-min-risk"))
+    def test_within_rounding_of_the_product(self, monkeypatch, path):
+        """Every report after the first is handed a vector within 1e-13 of
+        the largest loss of the product, and fewer products are formed than
+        reports."""
+        matrix, state, cfg = path()
+        log = self.handed(monkeypatch)
+        products = []
+        for name in ("portfolio_losses", "losses_at"):
+            fn = getattr(continuation, name)
+            monkeypatch.setattr(continuation, name,
+                                lambda *args, fn=fn: products.append(1) or fn(*args))
+        res = run(matrix, state, cfg)
+        assert len(res.records) > 30
+        assert log[0][1] is None and all(losses is not None for _, losses in log[1:])
+        assert len(products) < len(log) - 1
+        table = build_losses(matrix)
+        for at, losses in log[1:]:
+            want = portfolio_losses(table, at)
+            assert np.abs(losses - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_paths_that_never_reuse_carry_nothing(self, monkeypatch):
+        """Return-to-risk on the revenue row solves every step: each record
+        field is bit for bit that of a run whose ``report`` ignores the
+        vector, and none is handed."""
+        matrix, state, cfg = ratio_revenue_only()
+        log = self.handed(monkeypatch)
+        carried = run(matrix, state, cfg)
+        assert len(log) == 2 * len(carried.records) - 1
+        assert all(losses is None for _, losses in log)
+        monkeypatch.setattr(continuation, "report",
+                            lambda table, at, beta, losses=None: risk.report(table, at, beta))
+        fresh = run(matrix, state, cfg)
+        assert carried.reason == fresh.reason
+        assert len(carried.records) == len(fresh.records) > 30
+        assert_same_records(carried.records, fresh.records)
 
 
 class TestOneSolvePath:
@@ -742,13 +850,7 @@ class TestOneSolvePath:
         assert one.reason == chain.reason == "budget"
         assert len(one.records) == len(chain.records) == 301
         assert sum(len(rec.clamped_ids) for rec in one.records) == 9
-        for got, want in zip(one.records, chain.records):
-            for name in RECORD_FIELDS + ["clamped_ids", "tail_signature"]:
-                a, b = getattr(got, name), getattr(want, name)
-                if isinstance(a, (tuple, int)):
-                    assert a == b, (got.step, name)
-                else:
-                    assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (got.step, name)
+        assert_same_records(one.records, chain.records)
 
 
 class TestOptimalityGap:

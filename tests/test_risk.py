@@ -758,13 +758,17 @@ class TestTailMemo:
         assert ts.at.tobytes() == ts.signature[1]
 
     def test_memo_keeps_tail_rows_only(self):
-        """After a report the memo and the signature hold bytes and arrays
-        over the tail rows (or the N groups): no Python int per tail row and
-        no K-length vector."""
+        """After two reports the memo holds two pairs, the later first, and
+        each pair and signature holds bytes and arrays over the tail rows (or
+        the N groups): no Python int per tail row and no K-length vector."""
         matrix, state = small_portfolio(seed=0, n=6, k=300)
         table = build_losses(matrix)
+        first = report(table, state.with_weights(state.weights[::-1].copy()), 0.9)
         rep = report(table, state, 0.9)
-        ts, numerator = table._tail_memo[0.9]
+        assert first.tail_signature != rep.tail_signature
+        assert [pair[0].signature for pair in table._tail_memo[0.9]] == [
+            rep.tail_signature, first.tail_signature]
+        ts, numerator = table._tail_memo[0.9][0]
         assert ts.signature is rep.tail_signature
         assert ts.beta_star == rep.beta_star
         arrays = [value for value in vars(ts).values() if isinstance(value, np.ndarray)]
@@ -776,6 +780,45 @@ class TestTailMemo:
         assert 0 < tail_rows < 300 // 2
         for arr in arrays:
             assert type(arr) is np.ndarray and arr.size <= max(tail_rows, 6)
+
+    def test_two_sets_are_kept(self, monkeypatch):
+        """After tail sets A and B, losses in A's set reuse A's pair without
+        a split, and make it the most recent; a third set evicts the pair
+        used least recently."""
+        matrix, state = small_portfolio(seed=0, n=6, k=300)
+        table = build_losses(matrix)
+        a, b, c = (portfolio_losses(table, state.with_weights(state.weights[order].copy()))
+                   for order in (slice(None), slice(None, None, -1), [1, 0, 3, 2, 5, 4]))
+        log = []
+        count_report_splits(monkeypatch, log)
+        pairs = [risk._tail(table, losses, 0.9)[1] for losses in (a, b)]
+        assert pairs[0][0].signature != pairs[1][0].signature
+        assert risk._tail(table, a * 1.01, 0.9)[1] is pairs[0]
+        assert len(log) == 2
+        assert table._tail_memo[0.9] == [pairs[0], pairs[1]]
+        third = risk._tail(table, c, 0.9)[1]
+        assert len(log) == 3 and third[0].signature not in (p[0].signature for p in pairs)
+        assert table._tail_memo[0.9] == [third, pairs[0]]
+        assert risk._tail(table, b, 0.9)[1] is not pairs[1]
+        assert len(log) == 4
+
+    def test_a_given_loss_vector_is_checked(self):
+        """``report`` handed the state's loss vector gives every field of the
+        report that forms it, bit for bit; a non-finite vector, or one of
+        another length, is a ``DataError`` even while the memo's set stands."""
+        matrix, state = small_portfolio(seed=0, n=6, k=300)
+        table = build_losses(matrix)
+        losses = portfolio_losses(table, state)
+        want = report(build_losses(matrix), state, 0.9)
+        got = report(table, state, 0.9, losses)
+        for name in LAZY_FIELDS + tuple(REPORT_FIELDS):
+            assert bits(getattr(got, name)) == bits(getattr(want, name)), name
+        bad = losses.copy()
+        bad[np.argmin(bad)] = np.nan
+        with pytest.raises(DataError, match="^losses must all be finite$"):
+            report(table, state, 0.9, bad)
+        with pytest.raises(DataError, match="^probabilities length does not match losses$"):
+            report(table, state, 0.9, losses[:-1])
 
     @pytest.mark.parametrize("rows_per_chunk", (1, 3))
     def test_chunked_numerator_matches_one_block(self, monkeypatch, rows_per_chunk):
