@@ -3,8 +3,8 @@
 Each step re-evaluates the risk report at the current weights, rebuilds the
 coefficient vectors over the active components, solves the closed-form step
 under the configured rates policy, which ``solve_step`` resolves itself (or,
-on the linear objectives, reuses one of the last two solves while its tail
-set and frozen mask stand, and carries the loss vector along), applies the
+on the linear objectives, reuses the solve of its segment while the tail set
+and frozen mask stand, and carries the loss vector along), applies the
 weight update with optional zero clamping and fixed-risk rescaling, and
 records the resulting metrics.
 """
@@ -182,39 +182,53 @@ def _make_record(m, c, rates, q, big_q, state, rep, clamped, frozen, factor, bas
         rescale_factor=factor, tail_signature=rep.tail_signature)
 
 
+@dataclass
+class _Segment:
+    """Steps on one tail set: its report's ``tail`` pair, and the frozen
+    count, solution, direction y and loss image d of its last solve."""
+
+    tail: tuple
+    frozen: int = -1  # before the first solve
+    solution: object = None
+    y: np.ndarray = None
+    d: np.ndarray = None
+
+
 def run(scenarios, state0, config):
     """Drive the continuation path; returns the full step-by-step record.
 
-    On the linear objective rows (min risk and max return, which
-    return-to-risk with a second constraint resolves to) a step whose tail
-    set and frozen mask equal those of one of the last two solves reuses
-    that solve's rates and direction, and each record carries the rates its
-    solve used.  Two, because a path that crosses a kink often comes
-    straight back (tail sets A, B, A).  The reuse is exact: at a fixed tail
-    set the Euler contribution per unit weight,
-    (tail weights @ Z) / w_base / (1 - beta), does not depend on w, so
-    neither do f, h, the step constants, the autopilot rates nor y.  A
-    recomputed y differs from the reused one by rounding alone (on the
-    flagship path by at most 4e-15 of its largest entry).  The tail
-    signature fixes the tail weights: it holds the strict-tail rows, the
-    atom rows and the atom fraction.  Within a run the frozen mask only
-    grows, so the carried frozen count identifies it.  Return-to-risk
-    without a second constraint and diversification have coefficients that
-    move with w, so those steps always solve.
+    The path keeps one memory: the segments of the last two tail sets
+    reported, latest first.  Each report is handed their tail pairs and
+    reuses one whose set still stands, so a path that crosses a kink and
+    comes straight back (tail sets A, B, A) splits A once.
 
-    On the linear rows the loss vector L = Z @ (w / w_base) is carried
-    too, since it is linear in w.  A reused step that clamps nothing adds
-    the solve's loss image d = Z @ (delta_c * y / w_base), formed on the
-    solve's first reuse and kept with it; a fixed-risk rescale scales L by
-    its factor.  Any other step forms L anew.  The carried L drifts from
-    the product by rounding that adds up along a reused run of steps, so at
-    most linearly in its length; it is dropped when the next step will
-    not reuse a solve.  Paths that never reuse carry nothing, and their
-    reports form L as a lone ``report`` does.
+    On the linear objective rows (min risk and max return, which
+    return-to-risk with a second constraint resolves to) a step reuses the
+    front segment's solve while its frozen count, which only grows, is the
+    current one.  The reuse is exact: at a fixed tail set the Euler
+    contribution per unit weight does not depend on w, so neither do f, h,
+    the step constants, the rates nor y (a recomputed y differs by rounding,
+    at most 4e-15 of its largest entry on the flagship path).  Each record
+    carries its solve's rates.  The other rows solve every step.
+
+    The linear rows also carry the loss vector L = Z @ (w / w_base): a
+    reused step that clamps nothing adds the segment's loss image
+    d = Z @ (delta_c * y / w_base), and a fixed-risk rescale scales L by its
+    factor.  Any other step forms L anew, and L is dropped when the next
+    step will not reuse, so its rounding drift grows at most linearly along
+    one segment.  Paths that never reuse carry nothing.
     """
     table = build_losses(scenarios)
+    segments = []
+
+    def measure(state, losses=None):
+        rep = report(table, state, config.beta, losses, [seg.tail for seg in segments])
+        seg = next((seg for seg in segments if seg.tail is rep.tail), None) or _Segment(rep.tail)
+        segments[:] = [seg] + [other for other in segments if other is not seg][:1]
+        return rep
+
     state = state0
-    rep = report(table, state, config.beta)
+    rep = measure(state)
     base = {"cvar": rep.cvar, "return": rep.total_return, "revenue": rep.revenue,
             "di": rep.diversification_index, "re2ri": rep.total_return_to_risk}
     n = state.n_groups
@@ -224,15 +238,13 @@ def run(scenarios, state0, config):
     streak = 0
     row, maximize = effective_problem(config.objective, config.mode)
     reusable = row in (ObjectiveKind.MIN_RISK, ObjectiveKind.MAX_RETURN)
-    solves = {}  # key -> [solution, y, loss image or None] of the last two keys solved
     losses = None  # the state's loss vector while the next step may reuse a solve
     for m in range(1, config.n_steps + 1):
         if frozen == n:
             reason = "all-clamped"
             break
-        key = (rep.tail_signature, frozen) if reusable else None
-        kept = solves.pop(key, None)
-        reused = kept is not None
+        seg = segments[0]
+        reused = reusable and seg.frozen == frozen
         if not reused:
             try:
                 coeffs = select_coefficients(config.objective, state, rep, config.mode)
@@ -246,25 +258,20 @@ def run(scenarios, state0, config):
                 # locally stationary; treat it as the path settling down.
                 reason = "steady-state"
                 break
-            y = np.zeros(n)
-            y[state.active] = sol.y
-            kept = [sol, y, None]
-        sol, y = kept[0], kept[1]
-        if reusable:
-            solves[key] = kept
-            if len(solves) > 2:
-                del solves[next(iter(solves))]
+            seg.frozen, seg.solution, seg.y, seg.d = frozen, sol, np.zeros(n), None
+            seg.y[state.active] = sol.y
+        sol = seg.solution
         cvar_before = rep.cvar
-        state, clamped = apply_step(state, y, config.delta_c, config.clamp_nonnegative)
+        state, clamped = apply_step(state, seg.y, config.delta_c, config.clamp_nonnegative)
         frozen += len(clamped)
         all_clamped = frozen == n
         if reused and not clamped:
-            if kept[2] is None:
-                kept[2] = losses_at(table, config.delta_c * y / state.base_weights)
-            losses += kept[2]
+            if seg.d is None:
+                seg.d = losses_at(table, config.delta_c * seg.y / state.base_weights)
+            losses += seg.d
         elif reusable:
             losses = portfolio_losses(table, state)
-        rep = report(table, state, config.beta, losses)
+        rep = measure(state, losses)
         # the step's own change: under fixed total risk the rescale below pins CVaR
         rel_change = abs(rep.cvar - cvar_before) / max(abs(cvar_before), 1e-300)
         factor = 1.0
@@ -272,8 +279,8 @@ def run(scenarios, state0, config):
             state, factor = rescale_fixed_risk(state, cvar_before, rep.cvar)
             if losses is not None:
                 losses *= factor
-            rep = report(table, state, config.beta, losses)
-        if (rep.tail_signature, frozen) not in solves:
+            rep = measure(state, losses)
+        if not reusable or segments[0].frozen != frozen:
             losses = None
         records.append(_make_record(m, m * config.delta_c, sol, sol.q, sol.Q,
                                     state, rep, clamped, frozen, factor, base))

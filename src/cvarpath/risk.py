@@ -123,13 +123,12 @@ class LossTable:
     allocation, held as the two factors of the scenario matrix.
 
     All three arrays are read-only views: of the matrix's own arrays when
-    built by ``build_losses``, which copies nothing.  ``report`` keeps three
+    built by ``build_losses``, which copies nothing.  ``report`` keeps two
     memos on the table for its whole life: the CVaR of each column in
-    ``_column_cvars``, the pick of those CVaRs for the last sign pattern of
-    the weights in ``_standalone_pick``, and the last two tail sets with
-    their Euler numerators in ``_tail_memo``, which holds arrays over the
-    tail rows only.  All are computed from the arrays as they were, so a
-    caller who edits their matrix builds a new table.
+    ``_column_cvars`` and the pick of those CVaRs for the last sign pattern
+    of the weights in ``_standalone_pick``.  Both are computed from the
+    arrays as they were, so a caller who edits their matrix builds a new
+    table.  A path keeps its own tail sets and hands them to ``report``.
     """
 
     initial_values: np.ndarray
@@ -139,8 +138,6 @@ class LossTable:
     _column_cvars: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # beta -> (np.sign(w / w_base) as bytes, known[sign + 1, n] for each column n)
     _standalone_pick: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # beta -> [(TailSet, its Euler numerator)] of the last two tail sets, most recent first
-    _tail_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.initial_values = _read_only(_vector(self.initial_values, "initial_values"))
@@ -559,12 +556,13 @@ def _signed_columns(table, cols, positive):
 class RiskReport:
     """Risk and performance metrics of one portfolio state.
 
-    The per-group vectors ``contributions``, ``dar`` and
+    ``tail`` is the ``TailSet`` and its Euler numerator sum(t) * x0 - t @ V[rows],
+    which a later report on the same table re-checks when handed it in
+    ``known``.  The per-group vectors ``contributions``, ``dar`` and
     ``group_return_to_risk`` are formed on first read and kept: a path step
-    that reuses the last solve reads none of them.  They are formed from
-    the private fields: the Euler numerator of the tail set, the scale
-    s = w / w_base, 1 / (1 - beta) and the state itself, so a caller who
-    edits the state's arrays in place before the first read reads the
+    that reuses its solve reads none of them.  They are formed from the
+    numerator, s = w / w_base, 1 / (1 - beta) and the state itself, so a
+    caller who edits the state's arrays before the first read reads the
     vectors of the edited state.
     """
 
@@ -577,7 +575,7 @@ class RiskReport:
     revenue: float
     beta_star: float  # P(L < VaR), the atom split's lower mass
     tail_signature: tuple
-    _numerator: np.ndarray = field(repr=False, compare=False)  # sum(t) * x0 - t @ V[rows]
+    tail: tuple = field(repr=False, compare=False)  # (TailSet, its Euler numerator)
     _scale: np.ndarray = field(repr=False, compare=False)
     _inv_tail: float = field(repr=False, compare=False)
     _state: PortfolioState = field(repr=False, compare=False)
@@ -585,7 +583,7 @@ class RiskReport:
     @cached_property
     def contributions(self):
         """Euler contributions (tail weights @ Z) * s / (1 - beta)."""
-        return self._numerator * self._scale * self._inv_tail
+        return self.tail[1] * self._scale * self._inv_tail
 
     @cached_property
     def dar(self):
@@ -613,41 +611,34 @@ def _euler_numerator(table, rows, tail):
     return tail.sum() * table.initial_values - gathered
 
 
-def _tail(table, total, beta):
-    """VaR of the losses ``total`` and the pair of the table's memo for this
-    beta that holds their tail set: a ``TailSet`` and its Euler numerator
-    sum(t) * x0 - t @ V[rows].
+def _tail(table, total, beta, known):
+    """VaR of the checked losses ``total`` and the pair of their tail set: a
+    ``TailSet`` and its Euler numerator sum(t) * x0 - t @ V[rows].
 
-    The memo keeps the last two tail sets, most recently used first, so a
-    path that crosses a kink and comes back (A, B, A) splits A once.  A pair
-    is reused while its tail set stands: the losses are finite (the one dot
-    product of the tail split), the atom rows are still tied at v (a one-row
-    atom is, v being its loss), every strict-tail row is above v and no
-    other row reaches v.  The rows above and at VaR are then the kept ones,
-    so P(L < v) and P(L <= v) are too: v is VaR, and the split fraction,
-    tail weights and signature are the kept ones.  The O(tail) tests run
-    first, and the O(K) count only for a pair that passes them.  Otherwise
-    the losses are split anew and the pair replaces the older one.  A kept
-    ``TailSet``'s VaR is that of its split; the VaR returned is the current
-    one.  The memo holds no K-length array and no Python object per row.
+    The first pair of ``known`` made at this beta whose tail set stands is
+    reused: its atom rows are still tied at v (a one-row atom is, v being
+    its loss), every strict-tail row is above v and no other row reaches v.
+    The rows above and at VaR are then the kept ones, so P(L < v) and
+    P(L <= v) are too: v is VaR, and the split fraction, tail weights and
+    signature are the kept ones.  The O(tail) tests run first, and the O(K)
+    count only for a pair that passes them.  Otherwise the losses are split
+    once.  A kept ``TailSet``'s VaR is that of its split; the VaR returned
+    is the current one.
     """
-    memo = table._tail_memo.setdefault(beta, [])
-    if memo and math.isfinite(np.vdot(table.probabilities, total)):
-        for i, pair in enumerate(memo):
-            above, at = pair[0].above, pair[0].at
-            v = total[at[0]]
-            if ((at.size == 1 or (total[at] == v).all())
-                    and (above.size == 0 or total[above].min() > v)
-                    and np.count_nonzero(total >= v) == above.size + at.size):
-                memo.insert(0, memo.pop(i))
-                return float(v), pair
+    for pair in known:
+        if pair[0].beta != beta:
+            continue
+        above, at = pair[0].above, pair[0].at
+        v = total[at[0]]
+        if ((at.size == 1 or (total[at] == v).all())
+                and (above.size == 0 or total[above].min() > v)
+                and np.count_nonzero(total >= v) == above.size + at.size):
+            return float(v), pair
     ts = tail_split(total, table.probabilities, beta)
-    memo.insert(0, (ts, _euler_numerator(table, ts.rows, ts.tail)))
-    del memo[2:]
-    return ts.var, memo[0]
+    return ts.var, (ts, _euler_numerator(table, ts.rows, ts.tail))
 
 
-def report(table, state, beta, losses=None):
+def report(table, state, beta, losses=None, known=()):
     """Evaluate the risk measures and indices at the given state.
 
     No K x N array is formed: with s = w / w_base the losses L are
@@ -656,24 +647,25 @@ def report(table, state, beta, losses=None):
     (sum(t) * x0 - t @ V[rows]) * s / (1 - beta), over the rows of nonzero
     tail weight t only.  A caller that already holds the state's loss vector
     passes it as ``losses`` (a path derives it from the last one, since L is
-    linear in w), and then the report forms no K x N product; it is checked
-    as the tail split checks its losses, so a non-finite one is a
-    ``DataError``.  The numerator depends only on the tail rows, so the
-    table keeps the last two for this beta and a report re-checks them in
-    one O(K) pass before it splits anew (``_tail``).  That memo lives as
-    long as the table, so an edited matrix needs a new table.  The
+    linear in w), and then the report forms no K x N product.  The loss
+    vector, formed or given, is checked once as the tail split checks it.
+    The numerator depends only on the tail rows, so ``known`` may hold the
+    ``tail`` pairs of earlier reports on this table: one whose set still
+    stands is reused, and otherwise the losses are split (``_tail``).  The
     standalone CVaRs come first, so their column buffer and a loss vector
-    formed here are never held at once.  The scalars and the standalone
-    CVaRs are computed here; the contributions, DaR and the per-group
-    return-to-risk are formed when first read (``RiskReport``).
+    formed here are never held at once; the per-group vectors are formed
+    when first read (``RiskReport``).  A state whose group count is not the
+    table's is a ``DataError``, raised before either memo is touched.
     """
+    groups = table.values.shape[1]
+    if state.n_groups != groups:
+        raise DataError(f"the state has {state.n_groups} groups, the scenario table {groups}")
     scale = state.weights / state.base_weights
     standalone = _standalone_cvars(table, scale, beta)
-    if losses is None:
-        total = losses_at(table, scale)
-    else:
-        total = _tail_inputs(losses, table.probabilities)[0]
-    v, (ts, numerator) = _tail(table, total, beta)
+    total = losses_at(table, scale) if losses is None else losses
+    total = _tail_inputs(total, table.probabilities)[0]
+    v, pair = _tail(table, total, beta, known)
+    ts = pair[0]
     inv_tail = 1.0 / (1.0 - beta)
     cvar_total = float(ts.tail @ total[ts.rows]) * inv_tail
     standalone_sum = float(standalone.sum())
@@ -684,5 +676,5 @@ def report(table, state, beta, losses=None):
                       diversification_index=diversification,
                       total_return=total_return, total_return_to_risk=total_re2ri,
                       revenue=state.revenue, beta_star=ts.beta_star,
-                      tail_signature=ts.signature, _numerator=numerator,
+                      tail_signature=ts.signature, tail=pair,
                       _scale=scale, _inv_tail=inv_tail, _state=state)

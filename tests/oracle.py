@@ -13,7 +13,7 @@ bit-for-bit references instead: the eager form of an engine call that now
 does less work for the same bits.
 """
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -347,6 +347,7 @@ class EagerReport:
     revenue: float
     beta_star: float
     tail_signature: tuple
+    tail: tuple = field(repr=False, compare=False)  # (TailSet, its Euler numerator)
 
 
 def _standalone_reference(table, scale, beta):
@@ -369,20 +370,19 @@ def _standalone_reference(table, scale, beta):
     return out
 
 
-def report_reference(table, state, beta, losses=None):
+def report_reference(table, state, beta, losses=None, known=()):
     """``risk.report`` with every field formed at once: the Euler
     contributions, DaR and the per-group return-to-risk on every call, and
     the standalone CVaRs picked anew each time.  It keeps the table's memos
-    as ``report`` does, and takes the state's loss vector when given as
-    ``report`` does, so the two agree bit for bit along any sequence of
-    states on tables of one history."""
+    as ``report`` does, and takes the state's loss vector and the known tail
+    pairs when given as ``report`` does, so the two agree bit for bit along
+    any sequence of states and pairs on tables of one history."""
     scale = state.weights / state.base_weights
     standalone = _standalone_reference(table, scale, beta)
-    if losses is None:
-        total = portfolio_losses(table, state)
-    else:
-        total = risk._tail_inputs(losses, table.probabilities)[0]
-    v, (ts, numerator) = risk._tail(table, total, beta)
+    total = portfolio_losses(table, state) if losses is None else losses
+    total = risk._tail_inputs(total, table.probabilities)[0]
+    v, pair = risk._tail(table, total, beta, known)
+    ts, numerator = pair
     inv_tail = 1.0 / (1.0 - beta)
     cvar_total = float(ts.tail @ total[ts.rows]) * inv_tail
     contributions = numerator * scale * inv_tail
@@ -400,4 +400,4 @@ def report_reference(table, state, beta, losses=None):
                        diversification_index=diversification,
                        total_return=total_return, total_return_to_risk=total_re2ri,
                        group_return_to_risk=group_re2ri, revenue=state.revenue,
-                       beta_star=ts.beta_star, tail_signature=ts.signature)
+                       beta_star=ts.beta_star, tail_signature=ts.signature, tail=pair)

@@ -545,14 +545,16 @@ def misses(keys):
 
 
 class TestStepReuse:
-    """A step reuses one of the last two solves while its tail set and frozen
-    mask stand, on the min-risk and max-return rows only."""
+    """A step reuses the solve of its segment, one of the last two tail sets,
+    while the tail set and frozen mask stand, on the min-risk and max-return
+    rows only."""
 
     @given(linear_paths())
     @settings(max_examples=30, deadline=None)
     def test_matches_the_recomputing_path(self, drawn):
-        """A report whose tail signature is always new makes every step solve:
-        the path that recomputes is the oracle of the path that reuses."""
+        """A report that ignores the known tail pairs splits anew each time,
+        so every step of that path solves: the path that recomputes is the
+        oracle of the path that reuses."""
         matrix, state, config = drawn
         reused = run(matrix, state, config)
         fresh_report, solve = continuation.report, continuation.solve_step
@@ -564,10 +566,11 @@ class TestStepReuse:
             return sol
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(continuation, "report", lambda *args: dataclasses.replace(
-                fresh_report(*args), tail_signature=object()))
+            mp.setattr(continuation, "report", lambda table, at, beta, losses=None, known=():
+                       fresh_report(table, at, beta, losses))
             mp.setattr(continuation, "solve_step", measured_solve)
             recomputed = run(matrix, state, config)
+        assert len(amplification) == len(recomputed.records) - 1
         # A solve amplifies rounding by its two cancellations: P = f - lam.rows
         # leaves sqrt(a0) of |f| = sqrt(F), and a2 = kappa.mu - 1 cancels as
         # the rates near the cost ellipsoid (at the free extremum, a2 = -a0/F).
@@ -604,8 +607,9 @@ class TestStepReuse:
         """Steepest min-risk descent clamps one group after another.  On the
         path itself a step solves exactly when its tail set and frozen count
         are not those of one of the last two solves.  With every report's
-        signature pinned to one value, only a clamp changes the key: one
-        solve, then one per clamp until every group is frozen."""
+        tail pair pinned to the first one handed to it (its contributions
+        still its own), only a clamp changes the key: one solve, then one
+        per clamp until every group is frozen."""
         matrix, state, cfg = clamping_min_risk()
         calls = count_solves(monkeypatch)
         res = run(matrix, state, cfg)
@@ -614,10 +618,17 @@ class TestStepReuse:
         # the last record, all groups frozen, keys no step
         keys = [(r.tail_signature, r.frozen_count) for r in res.records[:-1]]
         assert len(calls) == misses(keys)
-        pinned = (b"", b"", 0.0)
         fresh_report = continuation.report
-        monkeypatch.setattr(continuation, "report", lambda *args: dataclasses.replace(
-            fresh_report(*args), tail_signature=pinned))
+
+        def pinned(table, at, beta, losses=None, known=()):
+            rep = fresh_report(table, at, beta, losses)
+            if not known:
+                return rep
+            held = dataclasses.replace(rep, tail=known[0])
+            vars(held)["contributions"] = rep.contributions  # the cached property's slot
+            return held
+
+        monkeypatch.setattr(continuation, "report", pinned)
         calls.clear()
         res = run(matrix, state, cfg)
         assert res.reason == "all-clamped"
@@ -771,9 +782,9 @@ class TestCarriedLosses:
         log = []
         fresh = continuation.report
 
-        def logged(table, at, beta, losses=None):
+        def logged(table, at, beta, losses=None, known=()):
             log.append((at, None if losses is None else losses.copy()))
-            return fresh(table, at, beta, losses)
+            return fresh(table, at, beta, losses, known)
 
         monkeypatch.setattr(continuation, "report", logged)
         return log
@@ -811,7 +822,8 @@ class TestCarriedLosses:
         assert len(log) == 2 * len(carried.records) - 1
         assert all(losses is None for _, losses in log)
         monkeypatch.setattr(continuation, "report",
-                            lambda table, at, beta, losses=None: risk.report(table, at, beta))
+                            lambda table, at, beta, losses=None, known=():
+                            risk.report(table, at, beta, known=known))
         fresh = run(matrix, state, cfg)
         assert carried.reason == fresh.reason
         assert len(carried.records) == len(fresh.records) > 30

@@ -685,23 +685,26 @@ def count_report_splits(monkeypatch, log):
     monkeypatch.setattr(risk, "tail_split", lambda *args: log.append("split") or split(*args))
 
 
-class TestTailMemo:
-    """``report`` re-checks the table's last tail set before it splits anew."""
+class TestKnownTails:
+    """``report`` re-checks the tail pairs it is handed before it splits anew."""
 
     @given(integer_tables(), st.one_of(st.just(0.0), st.sampled_from((0.5, 0.9)),
                                        st.floats(0.0, 0.99)), st.data())
     @settings(max_examples=300, deadline=None)
     def test_warm_path_matches_a_fresh_table(self, drawn, beta, data):
-        """Along small weight moves, one table's reports against reports on a
-        fresh table at each state.  The warm path skips only the re-rounding
-        of P(L < VaR): VaR and the tail rows are identical, so are the
-        contributions and DaR where the split fractions agree, and CVaR,
-        beta_star and the diversification index agree within K eps."""
+        """Along small weight moves, reports handed the tail pairs of the last
+        two against reports on a fresh table at each state.  The warm path
+        skips only the re-rounding of P(L < VaR): VaR and the tail rows are
+        identical, so are the contributions and DaR where the split
+        fractions agree, and CVaR, beta_star and the diversification index
+        agree within K eps."""
         table, state = drawn
         tol = table.probabilities.size * np.finfo(float).eps
+        known = ()
         for at in data.draw(weight_moves(state)):
-            warm = report(table, at, beta)
+            warm = report(table, at, beta, known=known)
             cold = report(build_losses(table), at, beta)
+            known = (warm.tail,) + known[:1]
             assert warm.var == cold.var
             assert warm.tail_signature[:2] == cold.tail_signature[:2]
             if warm.tail_signature[2] == cold.tail_signature[2]:
@@ -722,7 +725,7 @@ class TestTailMemo:
     def test_non_finite_loss_outside_the_tail_is_a_data_error(self):
         """Row 0's loss is finite at the base weights and -inf at 1.3 times
         them, outside the tail, where the other rows still match the tail
-        count: only the finiteness test stops the kept tail set."""
+        count: only the finiteness test stops the known tail set."""
         big = np.finfo(float).max
         matrix = ScenarioMatrix(initial_values=[1.0, 1.0],
                                 values=[[0.4 * big, 0.4 * big], [0.5, 1.5], [1.5, 0.5],
@@ -731,9 +734,10 @@ class TestTailMemo:
         state = initial_state(matrix, 0.0)
         scaled = state.with_weights(state.weights * 1.3)
         table = build_losses(matrix)
-        assert np.isfinite(report(table, state, 0.5).cvar)
+        first = report(table, state, 0.5)
+        assert np.isfinite(first.cvar)
         with pytest.raises(DataError, match="^losses must all be finite$"):
-            report(table, scaled, 0.5)
+            report(table, scaled, 0.5, known=(first.tail,))
         cfg = ContinuationConfig(objective=ObjectiveKind.MIN_RISK,
                                  mode=ConstraintMode(ConstraintVariant.REVENUE_ONLY),
                                  beta=0.5, delta_c=1e-3, total_cost=0.01)
@@ -742,33 +746,32 @@ class TestTailMemo:
 
     @given(loss_distributions())
     @settings(max_examples=300, deadline=None)
-    def test_memo_rows_are_the_nonzero_tail_weights(self, drawn):
-        """The rows of a new memo's ``TailSet``, and their weights, are the
+    def test_split_rows_are_the_nonzero_tail_weights(self, drawn):
+        """The rows of a new pair's ``TailSet``, and their weights, are the
         rows of nonzero weight in the dense split, whether or not the split
         gives the VaR atom a share; its strict-tail and atom rows are the
-        ones whose bytes the signature holds."""
+        ones whose bytes the signature holds.  Handed back with the same
+        losses, the pair stands."""
         losses, probs, beta = drawn
         table = LossTable(initial_values=np.zeros(2), values=np.zeros((losses.size, 2)),
                           probabilities=probs)
-        _, (ts, _) = risk._tail(table, losses, beta)
+        v, pair = risk._tail(table, losses, beta, ())
+        ts = pair[0]
         weights = dense_tail_weights(ts, probs)
         np.testing.assert_array_equal(ts.rows, np.flatnonzero(weights))
         assert ts.tail.tobytes() == weights[ts.rows].tobytes()
         assert ts.above.tobytes() == ts.signature[0]
         assert ts.at.tobytes() == ts.signature[1]
+        assert risk._tail(table, losses, beta, (pair,)) == (v, pair)
 
-    def test_memo_keeps_tail_rows_only(self):
-        """After two reports the memo holds two pairs, the later first, and
-        each pair and signature holds bytes and arrays over the tail rows (or
-        the N groups): no Python int per tail row and no K-length vector."""
+    def test_pair_keeps_tail_rows_only(self):
+        """A report's pair and signature hold bytes and arrays over the tail
+        rows (or the N groups): no Python int per tail row and no K-length
+        vector.  The table keeps no tail set."""
         matrix, state = small_portfolio(seed=0, n=6, k=300)
         table = build_losses(matrix)
-        first = report(table, state.with_weights(state.weights[::-1].copy()), 0.9)
         rep = report(table, state, 0.9)
-        assert first.tail_signature != rep.tail_signature
-        assert [pair[0].signature for pair in table._tail_memo[0.9]] == [
-            rep.tail_signature, first.tail_signature]
-        ts, numerator = table._tail_memo[0.9][0]
+        ts, numerator = rep.tail
         assert ts.signature is rep.tail_signature
         assert ts.beta_star == rep.beta_star
         arrays = [value for value in vars(ts).values() if isinstance(value, np.ndarray)]
@@ -780,32 +783,47 @@ class TestTailMemo:
         assert 0 < tail_rows < 300 // 2
         for arr in arrays:
             assert type(arr) is np.ndarray and arr.size <= max(tail_rows, 6)
+        assert set(vars(table)) == {"initial_values", "values", "probabilities",
+                                    "_column_cvars", "_standalone_pick"}
 
-    def test_two_sets_are_kept(self, monkeypatch):
-        """After tail sets A and B, losses in A's set reuse A's pair without
-        a split, and make it the most recent; a third set evicts the pair
-        used least recently."""
+    def test_a_standing_pair_is_reused(self, monkeypatch):
+        """Handed the pairs of tail sets A and B, in either order, losses in
+        A's set reuse A's pair and losses in B's set B's, without a split; a
+        third set is not found among them and is split once."""
         matrix, state = small_portfolio(seed=0, n=6, k=300)
         table = build_losses(matrix)
         a, b, c = (portfolio_losses(table, state.with_weights(state.weights[order].copy()))
                    for order in (slice(None), slice(None, None, -1), [1, 0, 3, 2, 5, 4]))
         log = []
         count_report_splits(monkeypatch, log)
-        pairs = [risk._tail(table, losses, 0.9)[1] for losses in (a, b)]
+        pairs = [risk._tail(table, losses, 0.9, ())[1] for losses in (a, b)]
         assert pairs[0][0].signature != pairs[1][0].signature
-        assert risk._tail(table, a * 1.01, 0.9)[1] is pairs[0]
+        assert risk._tail(table, a * 1.01, 0.9, pairs[::-1])[1] is pairs[0]
+        assert risk._tail(table, b, 0.9, pairs)[1] is pairs[1]
         assert len(log) == 2
-        assert table._tail_memo[0.9] == [pairs[0], pairs[1]]
-        third = risk._tail(table, c, 0.9)[1]
+        third = risk._tail(table, c, 0.9, pairs)[1]
         assert len(log) == 3 and third[0].signature not in (p[0].signature for p in pairs)
-        assert table._tail_memo[0.9] == [third, pairs[0]]
-        assert risk._tail(table, b, 0.9)[1] is not pairs[1]
-        assert len(log) == 4
+
+    def test_a_pair_of_another_beta_is_never_reused(self, monkeypatch):
+        """A pair split at beta 0.9 stands on its own losses, yet a report at
+        beta 0.5 handed it splits anew and gives, bit for bit, what a report
+        on a fresh table handed nothing gives."""
+        matrix, state = small_portfolio(seed=0, n=6, k=300)
+        table = build_losses(matrix)
+        other = report(table, state, 0.9)
+        log = []
+        count_report_splits(monkeypatch, log)
+        assert report(table, state, 0.9, known=(other.tail,)).tail is other.tail
+        got = report(table, state, 0.5, known=(other.tail,))
+        want = report(build_losses(matrix), state, 0.5)
+        assert len(log) == 2 and got.tail is not other.tail
+        for name in LAZY_FIELDS + tuple(REPORT_FIELDS):
+            assert bits(getattr(got, name)) == bits(getattr(want, name)), name
 
     def test_a_given_loss_vector_is_checked(self):
         """``report`` handed the state's loss vector gives every field of the
         report that forms it, bit for bit; a non-finite vector, or one of
-        another length, is a ``DataError`` even while the memo's set stands."""
+        another length, is a ``DataError`` even while a known set stands."""
         matrix, state = small_portfolio(seed=0, n=6, k=300)
         table = build_losses(matrix)
         losses = portfolio_losses(table, state)
@@ -816,9 +834,30 @@ class TestTailMemo:
         bad = losses.copy()
         bad[np.argmin(bad)] = np.nan
         with pytest.raises(DataError, match="^losses must all be finite$"):
-            report(table, state, 0.9, bad)
+            report(table, state, 0.9, bad, (got.tail,))
         with pytest.raises(DataError, match="^probabilities length does not match losses$"):
-            report(table, state, 0.9, losses[:-1])
+            report(table, state, 0.9, losses[:-1], (got.tail,))
+
+    def test_a_state_of_another_group_count_is_a_data_error(self):
+        """A 3- or 5-group state on a 4-group table is a ``DataError`` that
+        names both counts, raised before the table's memos are touched: a
+        valid report on that table afterwards matches one on a fresh table,
+        and a path from such a state fails the same way."""
+        matrix, state = small_portfolio(seed=0, n=4, k=300)
+        table = build_losses(matrix)
+        for n in (3, 5):
+            other = small_portfolio(seed=1, n=n, k=300)[1]
+            with pytest.raises(DataError, match=f"^the state has {n} groups, "
+                                                "the scenario table 4$"):
+                report(table, other, 0.9)
+            cfg = ContinuationConfig(objective=ObjectiveKind.MIN_RISK,
+                                     mode=ConstraintMode(ConstraintVariant.REVENUE_ONLY),
+                                     beta=0.9, delta_c=1e-3, total_cost=0.01)
+            with pytest.raises(DataError, match=f"^the state has {n} groups"):
+                run(matrix, other, cfg)
+        got, want = report(table, state, 0.9), report(build_losses(matrix), state, 0.9)
+        for name in LAZY_FIELDS + tuple(REPORT_FIELDS):
+            assert bits(getattr(got, name)) == bits(getattr(want, name)), name
 
     @pytest.mark.parametrize("rows_per_chunk", (1, 3))
     def test_chunked_numerator_matches_one_block(self, monkeypatch, rows_per_chunk):
@@ -880,7 +919,7 @@ def bits(value):
     return arr.dtype.str, arr.shape, arr.tobytes()
 
 
-REPORT_FIELDS = [f.name for f in dataclasses.fields(EagerReport)]
+REPORT_FIELDS = [f.name for f in dataclasses.fields(EagerReport) if f.compare]
 LAZY_FIELDS = ("contributions", "dar", "group_return_to_risk")
 
 
@@ -889,7 +928,7 @@ def sign_walks(draw, state):
     """States under two sign patterns of the weights, A (the drawn state's)
     and another, B, in the order A, B, A, each held for one to three
     reports.  The magnitudes follow ``weight_moves``, and a held pattern
-    may keep the last weights, so the tail memo is both re-used and
+    may keep the last weights, so a known tail set is both re-used and
     replaced; a zero weight is frozen."""
     n = state.n_groups
     first = np.sign(state.weights)
@@ -919,8 +958,9 @@ class TestLazyReport:
     @settings(max_examples=300, deadline=None)
     def test_matches_the_eager_report(self, drawn, beta, data):
         """Along sign walks (frozen, negative and mixed scales, a pattern
-        revisited after another), on two tables of one history: every field
-        of each report, the lazy ones read first, in one order on one report
+        revisited after another), on two tables of one history, each report
+        handed the tail pairs of the last two on its table: every field of
+        each report, the lazy ones read first, in one order on one report
         and in the other order on the next.  A column of zero loss has a
         standalone CVaR of 0 at any scale, which reaches the NaN branch of
         the group return-to-risk."""
@@ -934,8 +974,12 @@ class TestLazyReport:
             state, returns=np.array(data.draw(st.lists(st.floats(-0.1, 0.1),
                                                        min_size=state.n_groups,
                                                        max_size=state.n_groups))))
+        got = want = None
         for i, at in enumerate(data.draw(sign_walks(state))):
-            got, want = report(table, at, beta), report_reference(twin, at, beta)
+            kept = () if got is None else (got.tail,) + kept[:1]
+            twin_kept = () if want is None else (want.tail,) + twin_kept[:1]
+            got = report(table, at, beta, known=kept)
+            want = report_reference(twin, at, beta, known=twin_kept)
             order = LAZY_FIELDS if i % 2 else LAZY_FIELDS[::-1]
             for name in order + tuple(REPORT_FIELDS):
                 assert bits(getattr(got, name)) == bits(getattr(want, name)), (i, name)
