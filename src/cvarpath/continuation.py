@@ -4,21 +4,20 @@ Each step re-evaluates the risk report at the current weights, rebuilds the
 coefficient vectors over the active components, solves the closed-form step
 under the configured rates policy, which ``solve_step`` resolves itself (or,
 on the linear objectives, reuses the solve of its segment while the tail set
-and frozen mask stand, and carries the loss vector along), applies the
-weight update with optional zero clamping and fixed-risk rescaling, and
-records the resulting metrics.
+and frozen mask stand), applies the weight update with optional zero
+clamping and fixed-risk rescaling, carrying the loss vector through both,
+and records the resulting metrics.
 """
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
 from .errors import (ConfigError, DegenerateProblemError, DomainError, InfeasibleStepError,
-                     PortfolioError)
+                     PortfolioError, check_type)
 from .projection import extremum_kappas  # noqa: F401  wrapped by perfbench/tracing.TARGETS
 from .projection import (ConstraintMode, ExtremumAutopilot, FixedKappas, ObjectiveKind,
                          constants, effective_problem, select_coefficients, solve_step,
@@ -48,25 +47,23 @@ class ContinuationConfig:
     steady_state_window: int = 50
 
     def __post_init__(self):
-        numbers = [(name, getattr(self, name))
-                   for name in ("beta", "delta_c", "total_cost", "steady_state_tol")]
+        reals = [(name, getattr(self, name))
+                 for name in ("beta", "delta_c", "total_cost", "steady_state_tol")]
         if isinstance(self.kappa_policy, FixedKappas):
-            numbers += [("kappa1", self.kappa_policy.kappa1), ("kappa2", self.kappa_policy.kappa2)]
+            reals += [("kappa1", self.kappa_policy.kappa1), ("kappa2", self.kappa_policy.kappa2)]
         elif not isinstance(self.kappa_policy, ExtremumAutopilot):
             raise ConfigError("kappa_policy must be a FixedKappas or an ExtremumAutopilot, "
                               f"got {self.kappa_policy!r}")
-        for name, value in numbers:
-            if not isinstance(value, Real):
-                raise ConfigError(f"{name} must be a real number, got {value!r}")
+        check_type(Real, "a real number", *reals)
+        for name, value in reals:
             try:
                 finite = math.isfinite(value)
             except OverflowError:
                 raise ConfigError(f"{name} {value!r} is outside the float range") from None
             if not finite:
                 raise ConfigError(f"{name} must be finite, got {value!r}")
-        for name in ("clamp_nonnegative", "fixed_total_risk"):
-            if not isinstance(getattr(self, name), (bool, np.bool_)):
-                raise ConfigError(f"{name} must be a bool, got {getattr(self, name)!r}")
+        check_type((bool, np.bool_), "a bool", ("clamp_nonnegative", self.clamp_nonnegative),
+                   ("fixed_total_risk", self.fixed_total_risk))
         if self.delta_c <= 0.0:
             raise ConfigError("delta_c must be positive")
         if not math.isfinite(self.total_cost / self.delta_c):
@@ -79,11 +76,7 @@ class ContinuationConfig:
         counts = [("steady_state_window", self.steady_state_window)]
         if self.max_steps is not None:
             counts.append(("max_steps", self.max_steps))
-        for name, value in counts:
-            try:
-                operator.index(value)
-            except TypeError:
-                raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+        check_type(Integral, "an integer", *counts)
         if self.max_steps is not None and self.max_steps < 0:
             raise ConfigError(f"max_steps must be non-negative, got {self.max_steps}")
         if self.steady_state_window < 1:
@@ -211,12 +204,14 @@ def run(scenarios, state0, config):
     at most 4e-15 of its largest entry on the flagship path).  Each record
     carries its solve's rates.  The other rows solve every step.
 
-    The linear rows also carry the loss vector L = Z @ (w / w_base): a
+    Every row carries the loss vector L = Z @ (w / w_base) by one rule: a
     reused step that clamps nothing adds the segment's loss image
-    d = Z @ (delta_c * y / w_base), and a fixed-risk rescale scales L by its
-    factor.  Any other step forms L anew, and L is dropped when the next
-    step will not reuse, so its rounding drift grows at most linearly along
-    one segment.  Paths that never reuse carry nothing.
+    d = Z @ (delta_c * y / w_base), any other step forms L anew (the
+    product ``report`` would form), and a fixed-risk rescale scales L by its
+    factor, L being linear in w.  So its rounding drift grows at most
+    linearly along one segment, and no rescale forms a K x N product.  The
+    old L is released before a product forms the new one, so the path holds
+    one loss vector at a time.
     """
     table = build_losses(scenarios)
     segments = []
@@ -238,7 +233,7 @@ def run(scenarios, state0, config):
     streak = 0
     row, maximize = effective_problem(config.objective, config.mode)
     reusable = row in (ObjectiveKind.MIN_RISK, ObjectiveKind.MAX_RETURN)
-    losses = None  # the state's loss vector while the next step may reuse a solve
+    losses = np.empty(0)  # L, released before a product forms it anew: one is held at a time
     for m in range(1, config.n_steps + 1):
         if frozen == n:
             reason = "all-clamped"
@@ -269,7 +264,8 @@ def run(scenarios, state0, config):
             if seg.d is None:
                 seg.d = losses_at(table, config.delta_c * seg.y / state.base_weights)
             losses += seg.d
-        elif reusable:
+        else:
+            del losses
             losses = portfolio_losses(table, state)
         rep = measure(state, losses)
         # the step's own change: under fixed total risk the rescale below pins CVaR
@@ -277,11 +273,8 @@ def run(scenarios, state0, config):
         factor = 1.0
         if config.fixed_total_risk and not all_clamped:
             state, factor = rescale_fixed_risk(state, cvar_before, rep.cvar)
-            if losses is not None:
-                losses *= factor
+            losses *= factor
             rep = measure(state, losses)
-        if not reusable or segments[0].frozen != frozen:
-            losses = None
         records.append(_make_record(m, m * config.delta_c, sol, sol.q, sol.Q,
                                     state, rep, clamped, frozen, factor, base))
         if all_clamped:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .continuation import ContinuationConfig
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_type
 from .projection import (ConstraintMode, ConstraintVariant, ExtremumAutopilot, FixedKappas,
                          ObjectiveKind)
 from .risk import ScenarioMatrix
@@ -162,7 +162,7 @@ def read_scenario_file(path):
     (`_row_bound`), so it allocates the table once; a table that fills the
     bound is read again by `_read_exactly` too.
     """
-    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
         _, header_no, group_ids, has_prob, initial = _scenario_head(handle)
         rows = _row_bound(path, handle, has_prob + len(group_ids))
         try:
@@ -202,7 +202,7 @@ def _row_bound(path, handle, width):
 def _read_exactly(path):
     """`read_scenario_file` by a loop over the rows with ``float()`` semantics:
     the fallback for what numpy's reader rejects, and the tests' reference."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
         lines, header_no, group_ids, has_prob, initial = _scenario_head(handle)
         kinds = ["probability"] * has_prob + ["scenario value"] * len(group_ids)
         rows = []  # (physical line number, the row's cells as floats)
@@ -261,17 +261,12 @@ class GeneratorSpec:
         counts = [("seed", self.seed), ("n_groups", self.n_groups),
                   ("n_scenarios", self.n_scenarios)]
         counts += [("block size", size) for size, _ in blocks]
-        for name, value in counts:
-            try:
-                operator.index(value)
-            except TypeError:
-                raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+        check_type(numbers.Integral, "an integer", *counts)
         reals = [("tail", self.tail), ("loss_scale", self.loss_scale),
                  ("base_value", self.base_value)]
         reals += [("block correlation", rho) for _, rho in blocks]
+        check_type(numbers.Real, "a real number", *reals)
         for name, value in reals:
-            if not isinstance(value, numbers.Real):
-                raise ConfigError(f"{name} must be a real number, got {value!r}")
             try:
                 float(value)
             except OverflowError:
@@ -399,7 +394,7 @@ def _parse_choice(value, key, table, what):
 
 def parse_run_config(path):
     pairs = {}
-    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
         for i, line in _lines(handle, comment="#", error=ConfigError):
             if "=" not in line:
                 raise ConfigError(f"expected key=value, got {line!r}", line=i)

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and its one type check of
+library values."""
 
 
 class PortfolioError(Exception):
@@ -34,3 +35,14 @@ class InfeasibleStepError(PortfolioError):
 
 class ConfigError(PortfolioError):
     """Invalid run configuration or generator specification."""
+
+
+def check_type(kind, what, *named):
+    """Raise a ConfigError naming the first of the (name, value) pairs
+    ``named`` whose value is not a ``kind``, as "<name> must be <what>, got
+    <value>".  A bool is not a real number or an integer here: it passes only
+    where ``kind`` names ``bool``."""
+    takes_bool = bool in (kind if isinstance(kind, tuple) else (kind,))
+    for name, value in named:
+        if not isinstance(value, kind) or (isinstance(value, bool) and not takes_bool):
+            raise ConfigError(f"{name} must be {what}, got {value!r}")

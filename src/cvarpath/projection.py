@@ -23,17 +23,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateProblemError, DomainError, InfeasibleStepError
+from .errors import (ConfigError, DegenerateProblemError, DomainError, InfeasibleStepError,
+                     check_type)
 
 _DEGENERACY_TOL = 1e-14
 _GRADIENT_TOL = 1e-13
-
-
-def _require(kind, what, **values):
-    """Reject a library value of the wrong type with a ConfigError that names it."""
-    for name, value in values.items():
-        if not isinstance(value, kind):
-            raise ConfigError(f"{name} must be {what}, got {value!r}")
 
 
 class ObjectiveKind(enum.Enum):
@@ -63,7 +57,7 @@ class ConstraintMode:
     rows: tuple = field(init=False, repr=False, compare=False)  # active: 0 revenue, 1 second
 
     def __post_init__(self):
-        _require(ConstraintVariant, "a ConstraintVariant", variant=self.variant)
+        check_type(ConstraintVariant, "a ConstraintVariant", ("variant", self.variant))
         if self.second_meaning not in ("return", "risk"):
             raise ConfigError(f"unknown second-constraint meaning {self.second_meaning!r}")
         object.__setattr__(self, "rows", (0,) * self.has_revenue + (1,) * self.has_second)
@@ -79,8 +73,8 @@ class ConstraintMode:
 
 def validate_mode(objective, mode):
     """Reject objective/constraint pairings the coefficient table does not define."""
-    _require(ObjectiveKind, "an ObjectiveKind", objective=objective)
-    _require(ConstraintMode, "a ConstraintMode", mode=mode)
+    check_type(ObjectiveKind, "an ObjectiveKind", ("objective", objective))
+    check_type(ConstraintMode, "a ConstraintMode", ("mode", mode))
     if not mode.has_second:
         return
     if objective is ObjectiveKind.MAX_RETURN and mode.second_meaning == "return":
@@ -205,7 +199,7 @@ class FixedKappas:
     kappa2: float = 0.0
 
     def __post_init__(self):
-        _require(numbers.Real, "a real number", kappa1=self.kappa1, kappa2=self.kappa2)
+        check_type(numbers.Real, "a real number", ("kappa1", self.kappa1), ("kappa2", self.kappa2))
 
 
 @dataclass(frozen=True)
@@ -217,8 +211,8 @@ class ExtremumAutopilot:
     fixed_second: bool = False
 
     def __post_init__(self):
-        _require((bool, np.bool_), "a bool", fixed_revenue=self.fixed_revenue,
-                 fixed_second=self.fixed_second)
+        check_type((bool, np.bool_), "a bool", ("fixed_revenue", self.fixed_revenue),
+                   ("fixed_second", self.fixed_second))
 
 
 @dataclass(frozen=True)

@@ -122,6 +122,22 @@ class TestOptimize:
         assert code == EXIT_DOMAIN
         assert "error_code=config" in capsys.readouterr().err
 
+    def test_empty_output_fails_before_the_read(self, tmp_path, capsys, monkeypatch):
+        """An empty ``output =`` is no output path: a config error raised
+        before the scenario file is read, not an io error after the run."""
+        cfg = self.write_config(tmp_path, gen_file(tmp_path))
+        cfg.write_text(cfg.read_text().replace(f"output = {tmp_path / 'path.csv'}", "output ="))
+
+        def never(*args):
+            raise AssertionError("the scenarios were read or the path ran")
+
+        monkeypatch.setattr(cli, "read_scenario_file", never)
+        monkeypatch.setattr(cli, "run", never)
+        code = main(["optimize", "--config", str(cfg)])
+        assert code == EXIT_DOMAIN
+        assert capsys.readouterr().err == ("error_code=config no output path given "
+                                           "(config 'output' or --output)\n")
+
     def test_fixed_total_risk_runs_its_budget(self, tmp_path, capsys):
         """At the default steady_tol the pinned CVaR does not end a moving path."""
         matrix, state = small_portfolio(seed=35)

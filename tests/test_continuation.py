@@ -378,10 +378,13 @@ class TestTermination:
     @pytest.mark.parametrize("name,value", [
         ("variant", "both"), ("objective", "min_risk"), ("mode", "both"), ("beta", "0.95"),
         ("delta_c", None), ("kappa1", "0.1"), ("kappa2", 1j), ("fixed_revenue", "no"),
-        ("fixed_second", 1), ("clamp_nonnegative", "no"), ("fixed_total_risk", "no")])
+        ("fixed_second", 1), ("clamp_nonnegative", "no"), ("fixed_total_risk", "no"),
+        ("delta_c", True), ("steady_state_tol", False), ("kappa1", True), ("kappa2", False),
+        ("max_steps", True), ("steady_state_window", True)])
     def test_mistyped_values_rejected(self, name, value):
         """A value of the wrong type is named, not run with (a string variant
-        once ran with no constraint rows, and a string flag counted as true)."""
+        once ran with no constraint rows, a string flag counted as true, and
+        a bool ran as the number or count 1 or 0)."""
         make = {"variant": ConstraintMode, "kappa1": FixedKappas, "kappa2": FixedKappas,
                 "fixed_revenue": ExtremumAutopilot, "fixed_second": ExtremumAutopilot}.get(
             name, lambda **kw: ContinuationConfig(
@@ -481,17 +484,21 @@ def assert_same_path(name, got, want, rtol):
     assert error <= rtol * scale, f"{name}: off by {error:.3e} at scale {scale:.3e}"
 
 
-def assert_same_records(got, want):
-    """Every field of two runs' records agrees bit for bit."""
+def assert_same_records(got, want, rtol=None):
+    """Every field of two runs' records agrees bit for bit, or with ``rtol``
+    its float fields within that relative tolerance."""
     assert len(got) == len(want)
     for a_rec, b_rec in zip(got, want):
         for field in dataclasses.fields(continuation.PathRecord):
             a, b = getattr(a_rec, field.name), getattr(b_rec, field.name)
             if isinstance(a, (tuple, int)):
                 assert a == b, (a_rec.step, field.name)
-            else:
+            elif rtol is None:
                 assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (a_rec.step,
                                                                              field.name)
+            else:
+                np.testing.assert_allclose(a, b, rtol=rtol, atol=0.0,
+                                           err_msg=f"step {a_rec.step} {field.name}")
 
 
 @st.composite
@@ -771,8 +778,8 @@ class TestLazyReport:
 
 
 class TestCarriedLosses:
-    """On the linear rows ``run`` carries the loss vector: a reused step adds
-    the solve's loss image and a fixed-risk rescale scales it.
+    """On every row ``run`` carries the loss vector: a reused step adds the
+    solve's loss image and a fixed-risk rescale scales it.
     ``portfolio_losses`` of each state is its oracle."""
 
     @staticmethod
@@ -790,8 +797,9 @@ class TestCarriedLosses:
         return log
 
     @pytest.mark.parametrize("path", (flagship_shaped, lambda: flagship_shaped(True),
-                                      clamping_min_risk),
-                             ids=("flagship-shaped", "fixed-total-risk", "clamping-min-risk"))
+                                      clamping_min_risk, ratio_revenue_only),
+                             ids=("flagship-shaped", "fixed-total-risk", "clamping-min-risk",
+                                  "ratio-revenue-only"))
     def test_within_rounding_of_the_product(self, monkeypatch, path):
         """Every report after the first is handed a vector within 1e-13 of
         the largest loss of the product, and fewer products are formed than
@@ -812,22 +820,27 @@ class TestCarriedLosses:
             want = portfolio_losses(table, at)
             assert np.abs(losses - want).max() <= 1e-13 * np.abs(want).max()
 
-    def test_paths_that_never_reuse_carry_nothing(self, monkeypatch):
-        """Return-to-risk on the revenue row solves every step: each record
-        field is bit for bit that of a run whose ``report`` ignores the
-        vector, and none is handed."""
+    def test_rescale_scales_the_carried_vector(self, monkeypatch):
+        """Return-to-risk on the revenue row solves every step, so only its
+        rescale reuses L.  Against a run whose ``report`` ignores the vector,
+        the tail signatures and clamped ids agree at every step and every
+        record field within rtol 1e-12.  The path forms one K x N product
+        per step, its rescale report none, plus the first report's."""
         matrix, state, cfg = ratio_revenue_only()
-        log = self.handed(monkeypatch)
+        products = []
+        for module in (risk, continuation):
+            fn = module.losses_at
+            monkeypatch.setattr(module, "losses_at",
+                                lambda *args, fn=fn: products.append(1) or fn(*args))
         carried = run(matrix, state, cfg)
-        assert len(log) == 2 * len(carried.records) - 1
-        assert all(losses is None for _, losses in log)
+        steps = len(carried.records) - 1
+        assert steps == 100 and len(products) == 1 + steps
         monkeypatch.setattr(continuation, "report",
                             lambda table, at, beta, losses=None, known=():
                             risk.report(table, at, beta, known=known))
         fresh = run(matrix, state, cfg)
         assert carried.reason == fresh.reason
-        assert len(carried.records) == len(fresh.records) > 30
-        assert_same_records(carried.records, fresh.records)
+        assert_same_records(carried.records, fresh.records, rtol=1e-12)
 
 
 class TestOneSolvePath:

@@ -473,9 +473,13 @@ class TestGenerator:
         ("n_groups", {"n_groups": 4.0, "blocks": ((2, 0.3), (2, 0.3))}),
         ("n_scenarios", {"n_scenarios": 10.5}),
         ("n_scenarios", {"n_scenarios": None}),
+        ("seed", {"seed": True}),
+        ("n_groups", {"n_groups": np.True_}),
+        ("block size", {"blocks": ((True, 0.3), (3, 0.3))}),
     ])
     def test_counts_must_be_integers(self, name, inputs):
-        """A float count is neither truncated nor left to fail inside numpy."""
+        """A float or bool count is neither truncated nor left to fail inside
+        numpy."""
         spec = {"seed": 0, "n_groups": 4, "n_scenarios": 10, **inputs}
         with pytest.raises(ConfigError, match=f"^{name} must be an integer, got "):
             GeneratorSpec(**spec)
@@ -486,6 +490,10 @@ class TestGenerator:
         ("base_value 10*0 is outside the float range", {"base_value": 10 ** 400}),
         ("block correlation must be a real number", {"blocks": ((2, "x"), (2, 0.3))}),
         ("block correlation must be a real number", {"blocks": ((4, None),)}),
+        ("tail must be a real number, got True", {"tail": True}),
+        ("loss_scale must be a real number, got True", {"loss_scale": True}),
+        ("base_value must be a real number, got True", {"base_value": True}),
+        ("block correlation must be a real number, got False", {"blocks": ((4, False),)}),
         ("blocks must be \\(size, correlation\\) pairs", {"blocks": ((4,),)}),
         ("blocks must be \\(size, correlation\\) pairs", {"blocks": 4}),
     ])
@@ -595,6 +603,31 @@ class TestRunConfig:
         np.testing.assert_allclose(cfg.returns, [0.02, 0.03, 0.04, 0.05])
         assert cfg.costs == 0.5
         assert cfg.output == "path.csv"
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        """A spreadsheet's "CSV UTF-8" export starts with a byte-order mark:
+        both files read with it as without it, bit for bit."""
+        scen = self.write_scenario_file(tmp_path)
+        cfg_text = (f"scenarios = {scen}\nobjective = min_risk\nmode = revenue_only\n"
+                    "beta = 0.9\ndelta_c = 1e-3\ntotal_cost = 0.01\n"
+                    "returns = 0.02,0.03,0.04,0.05\noutput = path.csv\n")
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text(cfg_text)
+        marked.write_bytes(b"\xef\xbb\xbf" + cfg_text.encode())
+        want, got = parse_run_config(plain), parse_run_config(marked)
+        for name in ("scenarios", "continuation", "output"):
+            assert getattr(got, name) == getattr(want, name), name
+        for name in ("returns", "costs"):
+            assert np.asarray(getattr(got, name)).tobytes() == np.asarray(
+                getattr(want, name)).tobytes(), name
+        marked_scen = tmp_path / "marked.csv"
+        marked_scen.write_bytes(b"\xef\xbb\xbf" + scen.read_bytes())
+        want = read_scenario_file(scen)
+        for reader in (read_scenario_file, data._read_exactly):
+            got = reader(marked_scen)
+            assert got.group_ids == want.group_ids
+            for name in ("initial_values", "values", "probabilities"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"
