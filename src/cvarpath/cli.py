@@ -126,7 +126,7 @@ def _check_output_dir(output):
 
 def _run_optimize(args):
     cfg = parse_run_config(args.config)
-    output = args.output or cfg.output
+    output = cfg.output if args.output is None else args.output
     if not output:
         raise ConfigError("no output path given (config 'output' or --output)")
     matrix, state = _states_from_config(cfg)

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from numbers import Integral, Real
+from numbers import Integral
 
 import numpy as np
 
 from .errors import (ConfigError, DegenerateProblemError, DomainError, InfeasibleStepError,
-                     PortfolioError, check_type)
+                     PortfolioError, check_real, check_type)
 from .projection import extremum_kappas  # noqa: F401  wrapped by perfbench/tracing.TARGETS
 from .projection import (ConstraintMode, ExtremumAutopilot, FixedKappas, ObjectiveKind,
                          constants, effective_problem, select_coefficients, solve_step,
@@ -47,21 +47,10 @@ class ContinuationConfig:
     steady_state_window: int = 50
 
     def __post_init__(self):
-        reals = [(name, getattr(self, name))
-                 for name in ("beta", "delta_c", "total_cost", "steady_state_tol")]
-        if isinstance(self.kappa_policy, FixedKappas):
-            reals += [("kappa1", self.kappa_policy.kappa1), ("kappa2", self.kappa_policy.kappa2)]
-        elif not isinstance(self.kappa_policy, ExtremumAutopilot):
-            raise ConfigError("kappa_policy must be a FixedKappas or an ExtremumAutopilot, "
-                              f"got {self.kappa_policy!r}")
-        check_type(Real, "a real number", *reals)
-        for name, value in reals:
-            try:
-                finite = math.isfinite(value)
-            except OverflowError:
-                raise ConfigError(f"{name} {value!r} is outside the float range") from None
-            if not finite:
-                raise ConfigError(f"{name} must be finite, got {value!r}")
+        check_type((FixedKappas, ExtremumAutopilot), "a FixedKappas or an ExtremumAutopilot",
+                   ("kappa_policy", self.kappa_policy))
+        check_real(*((name, getattr(self, name))
+                     for name in ("beta", "delta_c", "total_cost", "steady_state_tol")))
         check_type((bool, np.bool_), "a bool", ("clamp_nonnegative", self.clamp_nonnegative),
                    ("fixed_total_risk", self.fixed_total_risk))
         if self.delta_c <= 0.0:
@@ -166,11 +155,11 @@ def _make_record(m, c, rates, q, big_q, state, rep, clamped, frozen, factor, bas
         step=m, c=c, kappa1=rates.kappa1, kappa2=rates.kappa2, q=q, Q=big_q,
         weights=state.weights.copy(), cvar=rep.cvar, total_return=rep.total_return,
         revenue=rep.revenue, diversification_index=rep.diversification_index,
-        cvar_rel=_relative(rep.cvar, base["cvar"]),
-        return_rel=_relative(rep.total_return, base["return"]),
-        revenue_rel=_relative(rep.revenue, base["revenue"]),
-        di_rel=_relative(rep.diversification_index, base["di"]),
-        re2ri_rel=_relative(rep.total_return_to_risk, base["re2ri"]),
+        cvar_rel=_relative(rep.cvar, base.cvar),
+        return_rel=_relative(rep.total_return, base.total_return),
+        revenue_rel=_relative(rep.revenue, base.revenue),
+        di_rel=_relative(rep.diversification_index, base.diversification_index),
+        re2ri_rel=_relative(rep.total_return_to_risk, base.total_return_to_risk),
         clamped_ids=clamped, frozen_count=frozen,
         rescale_factor=factor, tail_signature=rep.tail_signature)
 
@@ -223,9 +212,7 @@ def run(scenarios, state0, config):
         return rep
 
     state = state0
-    rep = measure(state)
-    base = {"cvar": rep.cvar, "return": rep.total_return, "revenue": rep.revenue,
-            "di": rep.diversification_index, "re2ri": rep.total_return_to_risk}
+    rep = base = measure(state)
     n = state.n_groups
     frozen = int(state.frozen.sum())  # carried: a step freezes exactly its clamped ids
     records = [_make_record(0, 0.0, _AT_REST, 0.0, 0.0, state, rep, (), frozen, 1.0, base)]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .continuation import ContinuationConfig
-from .errors import ConfigError, DataError, check_type
+from .errors import ConfigError, DataError, check_real, check_type
 from .projection import (ConstraintMode, ConstraintVariant, ExtremumAutopilot, FixedKappas,
                          ObjectiveKind)
 from .risk import ScenarioMatrix
@@ -265,12 +265,7 @@ class GeneratorSpec:
         reals = [("tail", self.tail), ("loss_scale", self.loss_scale),
                  ("base_value", self.base_value)]
         reals += [("block correlation", rho) for _, rho in blocks]
-        check_type(numbers.Real, "a real number", *reals)
-        for name, value in reals:
-            try:
-                float(value)
-            except OverflowError:
-                raise ConfigError(f"{name} {value!r} is outside the float range") from None
+        check_real(*reals, finite=False)
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.n_groups < 2:

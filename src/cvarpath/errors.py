@@ -1,5 +1,8 @@
-"""Exception hierarchy shared across the package, and its one type check of
-library values."""
+"""Exception hierarchy shared across the package, and its one type check and
+one real-number check of library values."""
+
+import math
+from numbers import Real
 
 
 class PortfolioError(Exception):
@@ -46,3 +49,17 @@ def check_type(kind, what, *named):
     for name, value in named:
         if not isinstance(value, kind) or (isinstance(value, bool) and not takes_bool):
             raise ConfigError(f"{name} must be {what}, got {value!r}")
+
+
+def check_real(*named, finite=True):
+    """Raise a ConfigError naming the first of the (name, value) pairs
+    ``named`` whose value is not a real number, as ``check_type`` does; then,
+    pair by pair, one outside the float range or, if ``finite``, not finite."""
+    check_type(Real, "a real number", *named)
+    for name, value in named:
+        try:
+            is_finite = math.isfinite(value)
+        except OverflowError:
+            raise ConfigError(f"{name} {value!r} is outside the float range") from None
+        if finite and not is_finite:
+            raise ConfigError(f"{name} must be finite, got {value!r}")

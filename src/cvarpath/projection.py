@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (ConfigError, DegenerateProblemError, DomainError, InfeasibleStepError,
-                     check_type)
+                     check_real, check_type)
 
 _DEGENERACY_TOL = 1e-14
 _GRADIENT_TOL = 1e-13
@@ -193,13 +192,14 @@ def constants(coeffs):
 
 @dataclass(frozen=True)
 class FixedKappas:
-    """Per-unit-cost rates of the two constraints, the same at every step."""
+    """Per-unit-cost rates of the two constraints, the same at every step:
+    real numbers inside the float range, and finite."""
 
     kappa1: float = 0.0
     kappa2: float = 0.0
 
     def __post_init__(self):
-        check_type(numbers.Real, "a real number", ("kappa1", self.kappa1), ("kappa2", self.kappa2))
+        check_real(("kappa1", self.kappa1), ("kappa2", self.kappa2))
 
 
 @dataclass(frozen=True)

@@ -313,8 +313,6 @@ def scaled_group_losses(table, state):
 
     ``report`` never forms this K x N matrix.
     """
-    if np.any(state.base_weights == 0.0):
-        raise DomainError("degenerate state: zero base weight")
     scale = state.weights / state.base_weights
     return (table.initial_values - table.values) * scale
 
@@ -561,9 +559,9 @@ class RiskReport:
     ``known``.  The per-group vectors ``contributions``, ``dar`` and
     ``group_return_to_risk`` are formed on first read and kept: a path step
     that reuses its solve reads none of them.  They are formed from the
-    numerator, s = w / w_base, 1 / (1 - beta) and the state itself, so a
-    caller who edits the state's arrays before the first read reads the
-    vectors of the edited state.
+    numerator, the tail set's beta and the state itself (s = w / w_base
+    included), so a caller who edits the state's arrays before the first
+    read reads the vectors of the edited state.
     """
 
     var: float
@@ -576,14 +574,13 @@ class RiskReport:
     beta_star: float  # P(L < VaR), the atom split's lower mass
     tail_signature: tuple
     tail: tuple = field(repr=False, compare=False)  # (TailSet, its Euler numerator)
-    _scale: np.ndarray = field(repr=False, compare=False)
-    _inv_tail: float = field(repr=False, compare=False)
     _state: PortfolioState = field(repr=False, compare=False)
 
     @cached_property
     def contributions(self):
         """Euler contributions (tail weights @ Z) * s / (1 - beta)."""
-        return self.tail[1] * self._scale * self._inv_tail
+        state, inv_tail = self._state, 1.0 / (1.0 - self.tail[0].beta)
+        return self.tail[1] * (state.weights / state.base_weights) * inv_tail
 
     @cached_property
     def dar(self):
@@ -666,8 +663,7 @@ def report(table, state, beta, losses=None, known=()):
     total = _tail_inputs(total, table.probabilities)[0]
     v, pair = _tail(table, total, beta, known)
     ts = pair[0]
-    inv_tail = 1.0 / (1.0 - beta)
-    cvar_total = float(ts.tail @ total[ts.rows]) * inv_tail
+    cvar_total = float(ts.tail @ total[ts.rows]) * (1.0 / (1.0 - beta))
     standalone_sum = float(standalone.sum())
     diversification = cvar_total / standalone_sum if standalone_sum != 0.0 else np.nan
     total_return = state.total_return
@@ -676,5 +672,4 @@ def report(table, state, beta, losses=None, known=()):
                       diversification_index=diversification,
                       total_return=total_return, total_return_to_risk=total_re2ri,
                       revenue=state.revenue, beta_star=ts.beta_star,
-                      tail_signature=ts.signature, tail=pair,
-                      _scale=scale, _inv_tail=inv_tail, _state=state)
+                      tail_signature=ts.signature, tail=pair, _state=state)

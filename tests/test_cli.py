@@ -138,6 +138,17 @@ class TestOptimize:
         assert capsys.readouterr().err == ("error_code=config no output path given "
                                            "(config 'output' or --output)\n")
 
+    def test_empty_output_option_is_no_output_path(self, tmp_path, capsys):
+        """An empty ``--output`` is given, not absent: the config's ``output``
+        does not stand in for it, and nothing is written."""
+        cfg = self.write_config(tmp_path, gen_file(tmp_path))
+        capsys.readouterr()
+        code = main(["optimize", "--config", str(cfg), "--output", ""])
+        assert code == EXIT_DOMAIN
+        assert capsys.readouterr().err == ("error_code=config no output path given "
+                                           "(config 'output' or --output)\n")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["run.cfg", "scen.csv"]
+
     def test_fixed_total_risk_runs_its_budget(self, tmp_path, capsys):
         """At the default steady_tol the pinned CVaR does not end a moving path."""
         matrix, state = small_portfolio(seed=35)

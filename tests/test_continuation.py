@@ -368,12 +368,24 @@ class TestTermination:
     @pytest.mark.parametrize("name", ("beta", "delta_c", "total_cost", "steady_state_tol",
                                       "kappa1", "kappa2"))
     def test_integers_outside_the_float_range_rejected(self, name):
-        """An integer too large for a float is named, not an ``OverflowError``."""
+        """An integer too large for a float is named, not an ``OverflowError``;
+        a fixed rate is refused where its ``FixedKappas`` is built."""
         value = -10**400 if name == "kappa2" else 10**400
-        fields = ({"kappa_policy": FixedKappas(**{name: value})} if name.startswith("kappa")
-                  else {name: value})
         with pytest.raises(ConfigError, match=rf"^{name} -?10+ is outside the float range$"):
+            fields = ({"kappa_policy": FixedKappas(**{name: value})} if name.startswith("kappa")
+                      else {name: value})
             ContinuationConfig(objective=ObjectiveKind.MIN_RISK, mode=REV, **fields)
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"kappa1": float("inf")}, "kappa1 must be finite, got inf"),
+        ({"kappa2": -10**400}, f"kappa2 {-10**400} is outside the float range"),
+        ({"kappa1": "0.1"}, "kappa1 must be a real number, got '0.1'"),
+        ({"kappa1": True}, "kappa1 must be a real number, got True")],
+        ids=("inf", "outside-float-range", "string", "bool"))
+    def test_fixed_kappas_check_their_own_rates(self, fields, message):
+        """Fixed rates are checked where they are built, with no config around them."""
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            FixedKappas(**fields)
 
     @pytest.mark.parametrize("name,value", [
         ("variant", "both"), ("objective", "min_risk"), ("mode", "both"), ("beta", "0.95"),
